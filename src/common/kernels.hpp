@@ -1,10 +1,14 @@
 #pragma once
 // The vectorised fixed-point kernel layer.
 //
-// Every hot integer inner loop of the simulator routes through this
+// The hot integer inner loops of the simulator route through this
 // table: the functional layer pass (nn/quantized.cpp), the analytic
-// engine's nonzero census, and the PE's V/U/W phase datapaths
-// (pe/pe.cpp). Each entry has a scalar reference implementation plus
+// engine's nonzero census, and the PE's V/U phase datapaths and
+// per-cycle W consume step (pe/pe.cpp). The one exception is the event
+// core's bulk W data pass (ProcessingElement::apply_w_activations), a
+// plain scalar row-outer loop: at paper shape it measured faster than
+// both mac_col_i16 and the AVX2 dot_i16_gather (bench/micro_kernels,
+// BM_WDataPass*). Each entry has a scalar reference implementation plus
 // AVX2/SSE4.2/NEON specialisations selected at runtime
 // (common/simd.hpp); all implementations accumulate in exact 64-bit
 // integer arithmetic, so every table produces bit-identical results —
@@ -76,12 +80,13 @@ struct KernelTable {
                            std::int64_t threshold, std::uint8_t* bits);
 
   /// W-phase LNZD-masked column accumulate: for each of the nrows
-  /// ascending row ids r = rows[i], acc[r] += w[r·stride + col]·a.
-  /// total_words is the size of the w block — a bounds budget for
-  /// implementations that read wider-than-16-bit lanes. (Scalar in
-  /// every current table: the scattered destinations defeat vector
-  /// stores, and a strided-gather variant measured slower at every
-  /// row count bench/micro_kernels covers.)
+  /// ascending row ids r = rows[i], acc[r] += w[r·stride + col]·a — one
+  /// delivered activation against the active rows, the per-cycle
+  /// consume step's order (ProcessingElement::consume_front, wide
+  /// slices). total_words is the size of the w block — a bounds budget
+  /// for implementations that read wider-than-16-bit lanes. Scalar in
+  /// every table (see kernels.cpp); the event core's W data pass does
+  /// not use it, because walking the activations row-outer is faster.
   void (*mac_col_i16)(std::int64_t* acc, const std::int16_t* w,
                       std::size_t stride, std::size_t total_words,
                       const std::uint32_t* rows, std::size_t nrows,

@@ -23,21 +23,4 @@ struct Flit {
   friend bool operator==(const Flit&, const Flit&) = default;
 };
 
-/// Statistics one router accumulates, aggregated by the NoC owner.
-struct RouterStats {
-  std::uint64_t flits_forwarded = 0;
-  std::uint64_t arbitration_conflicts = 0;  ///< >1 candidate in a cycle
-  std::uint64_t credit_stalls = 0;  ///< cycles blocked on parent credit
-  std::uint64_t acc_operations = 0;  ///< reduction adds performed
-  std::uint64_t busy_cycles = 0;
-  std::uint64_t buffer_occupancy_sum = 0;  ///< for mean occupancy
-  std::uint64_t cycles = 0;
-
-  double mean_buffer_occupancy() const noexcept {
-    return cycles ? static_cast<double>(buffer_occupancy_sum) /
-                        static_cast<double>(cycles)
-                  : 0.0;
-  }
-};
-
 }  // namespace sparsenn

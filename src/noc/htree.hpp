@@ -10,22 +10,40 @@
 //   - kAccumulate: V-phase partial-sum reduction, where each level's
 //     ACC stage combines per-row partial sums.
 //
+// Layout (see noc/router.hpp): one flat router array, level-major
+// with the root last, one flat port array and one slot array holding
+// every port's flit ring inline. The tree owns the only clock. A
+// bitset names the routers that hold flits, and step() visits only
+// those, in two passes: every busy router decides from begin-of-cycle
+// state (arbitration or ACC, plus its parent's credit view), then the
+// winners commit root first — each router pops its begin-of-cycle
+// heads before any child pushes into it — so a hop takes exactly one
+// cycle. An arbitrating router keeps its winner current as flits
+// arrive and rescans its ports only after a pop, so a stalled router
+// repeats its decision in O(1). Nothing costs per idle router per
+// cycle: buffer occupancy is
+// integrated on change (count × cycles since the last change), and
+// credits that take more than one cycle carry their return stamp, so
+// the wait/stall/idle skips only move the clock.
+//
 // The root-to-PE direction is a contention-free pipelined multicast
 // (BroadcastChannel): one flit per cycle enters, and after a fixed
 // latency (one pipeline hop per level) it is delivered to every PE —
 // subject to the receivers' queue backpressure, which the owner
 // expresses through the `ready` argument.
 //
-// Both halves are built for reuse across phases: step() writes into
-// scratch buffers preallocated at construction (no per-cycle heap
-// allocation), idle() reads a maintained flit count, and reset()
-// returns the structure to its freshly-built state so one tree can
-// serve every layer of every inference.
+// Both halves are built for reuse across phases: all storage is sized
+// at construction (no per-cycle heap allocation), idle() reads a
+// maintained flit count, and reset() returns the structure to its
+// freshly-built state so one tree can serve every layer of every
+// inference.
 
 #include <optional>
 #include <vector>
 
 #include "arch/params.hpp"
+#include "common/check.hpp"
+#include "noc/flit.hpp"
 #include "noc/router.hpp"
 
 namespace sparsenn {
@@ -45,25 +63,36 @@ struct NocStats {
 /// PE-to-root half of the H-tree.
 class UpwardTree {
  public:
+  /// The tree ArchParams describes: buffered credit flow control uses
+  /// router_buffer_depth slots and 1-cycle credits; the unbuffered
+  /// ablation uses one slot and a router-pipeline credit round trip.
   UpwardTree(const ArchParams& params, RouterMode mode);
 
-  std::size_t num_pes() const noexcept { return num_pes_; }
-  std::size_t num_levels() const noexcept { return levels_.size(); }
+  /// A tree of radix-ary routers over `num_pes` injectors (a power of
+  /// the radix; equal to it for a single router) with explicit per-port
+  /// buffer depth and credit latency.
+  UpwardTree(std::size_t num_pes, std::size_t radix,
+             std::size_t buffer_depth, std::size_t credit_latency,
+             RouterMode mode);
 
-  /// Can PE `pe` inject this cycle? (credit view of its leaf port)
-  /// Inline with precomputed parent links — the cycle loop asks for
-  /// every pending injector every cycle, and a runtime divide per
-  /// lookup costs more than the credit check itself.
+  std::size_t num_pes() const noexcept { return num_pes_; }
+
+  /// Router `r` of the flat array (leaves first, root last).
+  const Router& router(std::size_t r) const {
+    expects(r < routers_.size(), "router id out of range");
+    return routers_[r];
+  }
+
+  /// Can PE `pe` inject this cycle? (credit view of its leaf port, which
+  /// is port `pe` of the flat port array)
   bool can_inject(std::size_t pe) const {
     expects(pe < num_pes_, "PE id out of range");
-    return levels_.front()[parent_idx_[0][pe]].can_accept(
-        parent_port_[0][pe]);
+    return can_accept(pe);
   }
   /// Injects a flit from PE `pe`. Precondition: can_inject(pe).
   void inject(std::size_t pe, const Flit& flit) {
     expects(pe < num_pes_, "PE id out of range");
-    levels_.front()[parent_idx_[0][pe]].push(parent_port_[0][pe], flit);
-    ++buffered_total_;
+    push(static_cast<std::uint32_t>(pe / radix_), pe, flit);
   }
 
   /// Declares that PE `pe` will send nothing more this phase (used by
@@ -74,9 +103,7 @@ class UpwardTree {
   /// root output can take a flit. Returns the flit leaving the root.
   std::optional<Flit> step(bool root_ready);
 
-  /// True when no flit is buffered anywhere in the tree. O(1): the
-  /// total is re-derived from the routers' maintained counts inside
-  /// step()'s existing commit pass.
+  /// True when no flit is buffered anywhere in the tree. O(1).
   bool idle() const noexcept { return buffered_total_ == 0; }
 
   /// True when the last step() moved at least one flit (any router
@@ -98,18 +125,22 @@ class UpwardTree {
 
   /// True when no credit anywhere in the tree is still travelling back
   /// to a child (trivially true for the buffered latency-1 default).
-  bool credits_quiet() const;
+  /// O(1): stamps are issued in clock order, so the newest one bounds
+  /// them all.
+  bool credits_quiet() const noexcept { return last_credit_at_ <= now_; }
 
   /// Advances `k` pure wait cycles verified by last_step_quiet() plus
   /// frozen inputs (no injections, quiet credits): bit-identical to k
-  /// step(·) calls in that state — occupancy sums and router clocks
-  /// advance, nothing else changes.
-  void skip_waiting(std::uint64_t k);
+  /// step(·) calls in that state — only the clock moves (occupancy is
+  /// integrated lazily).
+  void skip_waiting(std::uint64_t k) noexcept { now_ += k; }
 
   /// Advances `k` cycles on a fully-drained tree — bit-identical to k
-  /// step(·) calls while idle() (which only tick router clocks and
-  /// occupancy denominators). Requires idle().
-  void skip_idle(std::uint64_t k);
+  /// step(·) calls while idle(). Requires idle().
+  void skip_idle(std::uint64_t k) {
+    expects(buffered_total_ == 0, "skip_idle on a non-idle tree");
+    now_ += k;
+  }
 
   /// True when stepping with root_ready == false provably changes
   /// nothing: arbitrate mode, quiet credits everywhere, and every
@@ -120,33 +151,110 @@ class UpwardTree {
 
   /// Advances `k` cycles of the stalled pattern stalled_static()
   /// verified — bit-identical to k step(false) calls in that state
-  /// (stall/conflict counters and occupancy sums advance per cycle).
+  /// (stall/conflict counters advance per cycle for every busy router).
   void skip_stalled(std::uint64_t k);
 
-  /// Empties every router, reopens all injectors and zeroes the phase
-  /// statistics — bit-identical to constructing a fresh tree, without
-  /// the allocations.
+  /// Empties every router, reopens all injectors, zeroes the statistics
+  /// and rewinds the clock — bit-identical to constructing a fresh
+  /// tree, without the allocations.
   void reset();
 
   NocStats stats() const;
 
  private:
-  Router& root() noexcept { return levels_.back().front(); }
-  const Router& root() const noexcept { return levels_.back().front(); }
+  /// A forward decided this cycle: `port` is the arbitration winner, or
+  /// radix_ for an ACC firing (every port whose head carries the row).
+  struct Grant {
+    Flit flit;
+    std::uint32_t router;
+    std::uint32_t port;
+  };
 
-  std::size_t radix_;
+  /// Credit view of flat port `port`: a free slot, counting credits
+  /// still travelling back to the child as occupied. Latency-1 credits
+  /// are never stamped (a stamp now+1 could never exceed the clock by
+  /// the next decision), so the buffered default reads one count.
+  bool can_accept(std::size_t port) const {
+    const RouterPort& p = ports_[port];
+    std::size_t in_flight = 0;
+    if (credit_latency_ > 1) {
+      std::size_t slot = p.credit_head;
+      for (std::size_t k = 0; k < p.credit_count; ++k) {
+        if (credits_[port * depth_ + slot] > now_) ++in_flight;
+        if (++slot == depth_) slot = 0;
+      }
+    }
+    return p.count + in_flight < depth_;
+  }
+
+  const Flit& head(std::size_t port) const {
+    return slots_[port * depth_ + ports_[port].head];
+  }
+
+  /// Folds the cycles since the last change of `r.buffered` into its
+  /// occupancy integral; call before every change.
+  void note_occupancy(Router& r) const noexcept {
+    r.stats.buffer_occupancy_sum += r.buffered * (now_ - r.occupancy_since);
+    r.occupancy_since = now_;
+  }
+
+  void push(std::uint32_t r, std::size_t port, const Flit& flit) {
+    RouterPort& p = ports_[port];
+    ensures(p.count < depth_,
+            "router buffer overflow (credit protocol violated)");
+    Router& router = routers_[r];
+    if (p.count == 0 && !router.rescan) {
+      // A new head: it wins if it beats the current winner's.
+      const auto local = static_cast<std::uint32_t>(port - r * radix_);
+      if (router.candidates == 0 ||
+          flit.index < head(r * radix_ + router.winner).index)
+        router.winner = local;
+      ++router.candidates;
+    }
+    std::size_t slot = p.head + p.count;
+    if (slot >= depth_) slot -= depth_;
+    slots_[port * depth_ + slot] = flit;
+    ++p.count;
+    note_occupancy(router);
+    ++router.buffered;
+    ++buffered_total_;
+    busy_[r >> 6] |= std::uint64_t{1} << (r & 63);
+  }
+
+  void pop(std::uint32_t r, std::size_t port);
+  /// Decisions of busy router `r` from begin-of-cycle state; a decision
+  /// becomes a grant when `parent_ready`, else a credit stall.
+  void arbitrate(std::uint32_t r, bool parent_ready);
+  /// Returns false when the ACC waits (an open port has no head yet).
+  bool accumulate(std::uint32_t r, bool parent_ready);
+  void grant_or_stall(std::uint32_t r, const Flit& flit,
+                      std::uint32_t port, bool parent_ready);
+  void close_port(std::uint32_t r, std::size_t port);
+  bool propagate_closures();
+
   std::size_t num_pes_;
-  /// levels_[0] are the leaf routers; levels_.back() is {root}.
-  std::vector<std::vector<Router>> levels_;
-  /// Per-level output decisions, reused every cycle by step().
-  std::vector<std::vector<std::optional<Flit>>> outputs_scratch_;
-  /// Precomputed upward links: parent_idx_[0][pe] is the leaf router
-  /// of PE `pe` (parent_port_[0][pe] its port); parent_idx_[lvl+1][i]
-  /// is the level-(lvl+1) router fed by router i of level lvl. Replaces
-  /// the divide/modulo pair in every per-cycle parent lookup.
-  std::vector<std::vector<std::uint32_t>> parent_idx_;
-  std::vector<std::vector<std::uint32_t>> parent_port_;
-  std::size_t buffered_total_ = 0;  ///< flits sitting in any router
+  std::size_t radix_;
+  std::size_t depth_;
+  std::size_t credit_latency_;
+  RouterMode mode_;
+  std::size_t num_leaves_;
+  std::uint32_t root_ = 0;  ///< index of the root (the last router)
+
+  std::vector<Router> routers_;    ///< level-major, root last
+  std::vector<RouterPort> ports_;  ///< radix_ per router, in router order
+  std::vector<Flit> slots_;        ///< depth_ per port, in port order
+  /// Credit-return stamps, same shape as slots_; empty for 1-cycle
+  /// credits (never tracked, see can_accept).
+  std::vector<std::uint64_t> credits_;
+  std::vector<std::uint64_t> busy_;     ///< bitset: routers holding flits
+  /// Bitset: all-closed routers whose parent port is still open — the
+  /// only candidates for kAccumulate closure propagation.
+  std::vector<std::uint64_t> closing_;
+  std::vector<Grant> grants_;  ///< this step's forwards, ascending router
+
+  std::uint64_t now_ = 0;            ///< cycles stepped since reset
+  std::uint64_t last_credit_at_ = 0;  ///< newest credit-return stamp
+  std::size_t buffered_total_ = 0;   ///< flits sitting in any router
   /// Whether the previous step() granted any output anywhere. Starts
   /// (and resets) true so the first cycle of a phase always runs the
   /// full per-cycle path.

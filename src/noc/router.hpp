@@ -18,214 +18,68 @@
 // pipeline depth this degrades to the unbuffered handshake used by the
 // ablation study.
 //
-// The port buffers are fixed-capacity rings sized at construction and
-// the router never allocates during simulation, so the owning tree can
-// be reset and reused across phases, layers and inferences without
-// touching the heap.
+// These are plain records, not objects with behaviour: UpwardTree
+// (noc/htree.hpp) keeps every router of the tree in one flat array,
+// leaves first and the root last, and every input port in a second
+// flat array beside it (port p of router r is port r·radix + p, so PE
+// i's leaf port is port i). Each port is a fixed-capacity ring whose
+// flit slots sit inline in the tree's slot array, sized once at
+// construction; a ring of credit-return stamps of the same shape exists
+// only when credits take more than one cycle. No record owns heap
+// storage or a clock — the tree's single clock times every router, and
+// the tree steps only the routers that hold flits.
 
-#include <algorithm>
-#include <optional>
-#include <vector>
-
-#include "common/check.hpp"
-#include "common/ring_buffer.hpp"
-#include "noc/flit.hpp"
+#include <cstdint>
 
 namespace sparsenn {
 
 enum class RouterMode { kArbitrate, kAccumulate };
 
-/// One H-tree routing node with `radix` input ports and one output.
-class Router {
- public:
-  Router(std::size_t radix, std::size_t buffer_depth,
-         std::size_t credit_latency, RouterMode mode);
+/// Statistics one router accumulates, aggregated by the tree.
+struct RouterStats {
+  std::uint64_t flits_forwarded = 0;
+  std::uint64_t arbitration_conflicts = 0;  ///< >1 candidate in a cycle
+  std::uint64_t credit_stalls = 0;  ///< cycles blocked on parent credit
+  std::uint64_t acc_operations = 0;  ///< reduction adds performed
+  /// Σ over cycles of the flits buffered at the end of the cycle,
+  /// integrated up to Router::occupancy_since (the tree adds the
+  /// stretch since then when it reports).
+  std::uint64_t buffer_occupancy_sum = 0;
+};
 
-  std::size_t radix() const noexcept { return inputs_.size(); }
-  RouterMode mode() const noexcept { return mode_; }
+/// One input port: a ring of `buffer_depth` flit slots (storage in the
+/// tree's slot array) plus the credits still travelling back to the
+/// child that feeds it.
+struct RouterPort {
+  std::uint32_t head = 0;          ///< ring slot of the front flit
+  std::uint32_t count = 0;         ///< flits buffered
+  std::uint32_t credit_head = 0;   ///< ring slot of the oldest stamp
+  std::uint32_t credit_count = 0;  ///< stamps held (expired ones too)
+  bool closed = false;  ///< the child will send nothing more this phase
+};
 
-  /// True when port `port` can accept a flit this cycle (credit view of
-  /// the child). Inline — the cycle loop calls this for every
-  /// injection candidate and parent link every cycle.
-  bool can_accept(std::size_t port) const {
-    expects(port < inputs_.size(), "router port out of range");
-    const Port& p = inputs_[port];
-    // Credits still travelling back to the child occupy a slot from
-    // the child's point of view. A latency-1 credit (the buffered
-    // flow-control default) is stamped now+1 at commit and the clock
-    // advances before the next decision phase, so it can never satisfy
-    // stamp > now_ — those routers skip the bookkeeping entirely (see
-    // commit() and commit_grant()).
-    std::size_t in_flight = 0;
-    if (credit_latency_ > 1) {
-      for (std::size_t stamp : p.pending_credits)
-        if (stamp > now_) ++in_flight;
-    }
-    return p.buffer.size() + in_flight < buffer_depth_;
-  }
-
-  /// Child pushes a flit into the port buffer. Precondition:
-  /// can_accept(port).
-  void push(std::size_t port, const Flit& flit) {
-    expects(port < inputs_.size(), "router port out of range");
-    ensures(!inputs_[port].buffer.full(),
-            "router buffer overflow (credit protocol violated)");
-    inputs_[port].buffer.push_back(flit);
-    ++buffered_;
-  }
-
-  /// Marks a port as permanently drained for this phase (its child will
-  /// send nothing more); lets kAccumulate finish on ragged inputs.
-  void set_port_closed(std::size_t port, bool closed);
-
-  /// Computes this cycle's output decision from begin-of-cycle state.
-  /// `parent_ready` is the credit view toward the parent. Returns the
-  /// flit that leaves this cycle, if any. Call commit() after every
-  /// component computed its transfer.
-  std::optional<Flit> step(bool parent_ready) {
-    granted_port_.reset();
-    granted_all_ = false;
-
-    std::optional<Flit> out =
-        mode_ == RouterMode::kArbitrate ? arbitrate() : accumulate();
-    last_step_decided_ = out.has_value();
-    if (out && !parent_ready) {
-      ++stats_.credit_stalls;
-      granted_port_.reset();
-      granted_all_ = false;
-      return std::nullopt;
-    }
-    return out;
-  }
-
-  /// True when the last step() produced an output decision — even one
-  /// that was then cancelled by a closed parent credit window (a
-  /// cancelled decision still charges statistics, so a cycle containing
-  /// one is never a pure wait cycle). The event core's wait-skip window
-  /// requires every router's last step to have decided nothing.
-  bool last_step_decided() const noexcept { return last_step_decided_; }
-
-  /// True when input port `port` has been closed via set_port_closed.
-  bool port_closed(std::size_t port) const {
-    expects(port < inputs_.size(), "router port out of range");
-    return inputs_[port].closed;
-  }
-
-  /// Finalises the cycle: retires the granted flit, returns credits.
-  void commit() {
-    if (granted_port_ || granted_all_) commit_grant();
-
-    stats_.buffer_occupancy_sum += buffered_;
-    ++stats_.cycles;
-    if (credit_latency_ > 1) {
-      for (Port& p : inputs_) {
-        if (!p.pending_credits.empty()) {
-          std::erase_if(p.pending_credits, [this](std::size_t stamp) {
-            return stamp <= now_;
-          });
-        }
-      }
-    }
-    ++now_;
-  }
-
-  /// True when all buffers are empty and nothing is in flight. O(1):
-  /// the buffered-flit count is maintained incrementally.
-  bool idle() const noexcept { return buffered_ == 0; }
-
-  /// Flits currently sitting in the port buffers.
-  std::size_t buffered() const noexcept { return buffered_; }
+/// One H-tree routing node: where its output goes, how full it is, and
+/// its statistics.
+struct Router {
+  std::uint32_t parent = 0;   ///< router fed by this one (root: itself)
+  std::uint32_t up_port = 0;  ///< flat index of that parent input port
+  std::uint32_t buffered = 0;    ///< flits in all input ports
+  std::uint32_t open_ports = 0;  ///< input ports not yet closed
+  /// Tree clock of the last change to `buffered`: the occupancy integral
+  /// in stats covers every cycle before it.
+  std::uint64_t occupancy_since = 0;
+  /// Tree clock of the last cycle this router forwarded a flit.
+  std::uint64_t fired_at = UINT64_MAX;
+  /// kArbitrate decision state, kept current as flits arrive: the port
+  /// with the smallest head index and how many ports hold a head. A pop
+  /// sets `rescan` instead, and the next decision rescans the ports.
+  std::uint32_t winner = 0;
+  std::uint32_t candidates = 0;
+  bool rescan = false;
+  RouterStats stats;
 
   /// True when every input port has been closed (phase drained).
-  bool all_closed() const;
-
-  /// Advances `k` cycles in which this router provably does nothing:
-  /// requires idle(). Bit-identical to k step(·)+commit() pairs on an
-  /// empty router — the cycle counter and (zero-delta) occupancy stats
-  /// advance, and in-flight credits expire exactly as they would have.
-  void skip_idle(std::uint64_t k);
-
-  /// Advances `k` cycles of a fully-stalled arbitration pattern: the
-  /// router's head flits cannot move (parent credit closed the whole
-  /// time), so each skipped cycle repeats the same decision.
-  /// Bit-identical to k step(false)+commit() pairs: conflict and
-  /// credit-stall counters advance per cycle, occupancy accumulates
-  /// the frozen buffer population. Requires kArbitrate mode (or an
-  /// empty router) and quiet credits.
-  void skip_stalled(std::uint64_t k);
-
-  /// Advances `k` pure wait cycles: the router may hold flits but its
-  /// last step decided nothing (see last_step_decided), its state is
-  /// frozen for the window, and its credits are quiet — so each
-  /// skipped cycle only accumulates occupancy and ticks the clock.
-  /// Bit-identical to k step(·)+commit() pairs in that state.
-  void skip_waiting(std::uint64_t k);
-
-  /// True when no credit is still travelling back to a child (a credit
-  /// in flight could reopen a port mid-window, so macro-stepping
-  /// requires quiet credits).
-  bool credits_quiet() const noexcept;
-
-  /// Returns the router to its just-constructed state (empty buffers,
-  /// open ports, zeroed stats and cycle counter) without releasing any
-  /// storage — bit-identical to a freshly built router.
-  void reset();
-
-  const RouterStats& stats() const noexcept { return stats_; }
-
- private:
-  struct Port {
-    /// Fixed ring of `buffer_depth_` flits, sized at construction.
-    RingBuffer<Flit> buffer;
-    bool closed = false;
-    /// Slots freed this cycle whose credit is still travelling back.
-    std::vector<std::size_t> pending_credits;  ///< release cycle stamps
-  };
-
-  /// Arbitration decision — inline, it runs per router per cycle.
-  std::optional<Flit> arbitrate() {
-    std::size_t winner = inputs_.size();
-    std::uint32_t best_row = 0;
-    std::size_t candidates = 0;
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-      if (inputs_[i].buffer.empty()) continue;
-      const std::uint32_t row = inputs_[i].buffer.front().index;
-      if (candidates == 0 || row < best_row) {
-        winner = i;
-        best_row = row;
-      }
-      ++candidates;
-    }
-    if (candidates == 0) return std::nullopt;
-    if (candidates > 1) ++stats_.arbitration_conflicts;
-    granted_port_ = winner;
-    return inputs_[winner].buffer.front();
-  }
-
-  std::optional<Flit> accumulate();
-
-  /// Slow half of commit(): retires the granted flit and issues the
-  /// return credit.
-  void commit_grant();
-
-  /// Erases credits that would have expired during cycles now passed
-  /// (a commit at clock t erases stamps <= t before advancing).
-  void drop_expired_credits();
-
-  std::vector<Port> inputs_;
-  std::size_t buffer_depth_;
-  std::size_t credit_latency_;
-  RouterMode mode_;
-  RouterStats stats_;
-  std::uint64_t now_ = 0;
-  std::size_t buffered_ = 0;                  ///< Σ port counts
-  std::optional<std::size_t> granted_port_;   ///< arbitrate winner
-  bool granted_all_ = false;                  ///< accumulate fired
-  std::uint32_t granted_row_cache_ = 0;       ///< row the ACC fired on
-  /// Whether the previous step() produced an output decision (before
-  /// any credit cancellation). Starts true so a phase's first cycle
-  /// can never look like a wait cycle.
-  bool last_step_decided_ = true;
+  bool all_closed() const noexcept { return open_ports == 0; }
 };
 
 }  // namespace sparsenn

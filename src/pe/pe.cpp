@@ -239,43 +239,37 @@ void ProcessingElement::burst_w_consume(std::uint64_t k) {
   }
 }
 
-void ProcessingElement::apply_w_activations(std::span<const Flit> acts) {
+void ProcessingElement::apply_w_activations(
+    std::span<const std::uint32_t> index,
+    std::span<const std::int16_t> value) {
+  expects(index.size() == value.size(),
+          "activation index and value lists differ in length");
+  const std::size_t n = index.size();
+  // Indices ascend, so the last one bounds them all.
+  expects(n == 0 || index.back() < slice_.layer_input_dim,
+          "activation index out of layer range");
   const std::size_t n_active = active_local_rows_.size();
-  for (const Flit& act : acts) {
-    expects(act.index < slice_.layer_input_dim,
-            "activation index out of layer range");
+  const auto words = w_mem_.words();
+  const std::size_t stride = w_mem_.row_stride();
+  // Row-outer: one pass over the list per predicted-active row, the
+  // accumulator in a register and the row read in ascending address
+  // order; the sum per row is the same exact int64 value the
+  // per-cycle order produces. A plain scalar loop on purpose: at paper
+  // shape it beats both the per-activation mac_col_i16 and the AVX2
+  // dot_i16_gather (bench/micro_kernels, BM_WDataPass*).
+  for (const std::uint32_t r : active_local_rows_) {
+    const std::int16_t* row = words.data() + r * stride;
+    std::int64_t acc = w_accumulators_[r];
+    for (std::size_t i = 0; i < n; ++i)
+      acc += std::int64_t{row[index[i]]} * std::int64_t{value[i]};
+    w_accumulators_[r] = acc;
   }
-  if (n_active > 0 && !acts.empty()) {
-    const auto words = w_mem_.words();
-    const std::size_t stride = w_mem_.row_stride();
-    if (n_active <= 8) {
-      // Row-outer traversal keeps each accumulator in a register
-      // across the whole activation list; the sum per row is the same
-      // exact int64 value the per-cycle order produces.
-      for (const std::uint32_t r : active_local_rows_) {
-        std::int64_t acc = w_accumulators_[r];
-        const std::int16_t* row = words.data() + r * stride;
-        for (const Flit& act : acts) {
-          acc += std::int64_t{row[act.index]} *
-                 std::int64_t{static_cast<std::int16_t>(act.payload)};
-        }
-        w_accumulators_[r] = acc;
-      }
-    } else {
-      for (const Flit& act : acts) {
-        kern_->mac_col_i16(w_accumulators_.data(), words.data(), stride,
-                           words.size(), active_local_rows_.data(),
-                           n_active, act.index,
-                           static_cast<std::int16_t>(act.payload));
-      }
-    }
-    w_mem_.note_reads(acts.size() * n_active);
-    events_.w_mem_reads += acts.size() * n_active;
-    events_.macs += acts.size() * n_active;
-  }
-  events_.queue_ops += 2 * acts.size();  // push + pop per activation
+  w_mem_.note_reads(n * n_active);
+  events_.w_mem_reads += n * n_active;
+  events_.macs += n * n_active;
+  events_.queue_ops += 2 * n;  // push + pop per activation
   events_.pe_active_cycles +=
-      acts.size() * std::max<std::size_t>(std::size_t{1}, n_active);
+      n * std::max<std::size_t>(std::size_t{1}, n_active);
 }
 
 std::span<const std::pair<std::uint32_t, std::int16_t>>

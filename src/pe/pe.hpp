@@ -224,14 +224,17 @@ class ProcessingElement {
   std::size_t w_active_row_count() const noexcept {
     return active_local_rows_.size();
   }
-  /// Bulk W-phase datapath: accumulates every activation in `acts`
-  /// into the local accumulators and charges the per-activation event
-  /// totals (2 queue ops, max(1, active) busy cycles, active W-mem
-  /// reads and MACs each) — bit-identical in data and counters to
-  /// enqueueing and consuming them one cycle at a time, because int64
-  /// accumulation is exact and order-independent. The event core pairs
-  /// this with its cycle-timing model, which never touches the PE.
-  void apply_w_activations(std::span<const Flit> acts);
+  /// Bulk W-phase datapath: accumulates every delivered activation —
+  /// the list `index`/`value`, ascending by index — into the local
+  /// accumulators and charges the per-activation event totals (2 queue
+  /// ops, max(1, active) busy cycles, active W-mem reads and MACs
+  /// each). Bit-identical in data and counters to enqueueing and
+  /// consuming them one cycle at a time, because int64 accumulation is
+  /// exact and order-independent. The event core builds the list once
+  /// per phase, shares it across every PE and pairs this with its
+  /// cycle-timing model, which never touches the PE.
+  void apply_w_activations(std::span<const std::uint32_t> index,
+                           std::span<const std::int16_t> value);
 
   /// Rescales accumulators and writes the destination register file;
   /// returns (global index, value) pairs of the produced activations.

@@ -188,10 +188,10 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
     for (auto& pe : pes_) pe.force_all_rows_active();
   }
 
-  result.w_cycles = event
-                        ? event_core_.run_w_phase(pes_, w_tree_, broadcast_,
-                                                  layer.w.cols, result)
-                        : simulate_w_phase(result);
+  result.w_cycles =
+      event ? event_core_.run_w_phase(pes_, w_tree_, broadcast_,
+                                      compiled.max_broadcast_flits(), result)
+            : simulate_w_phase(result);
   result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
 
   // Gather the produced activations (and count computed rows).

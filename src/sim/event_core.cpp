@@ -43,13 +43,16 @@ void EpochPool::set_threads(std::size_t n) {
   stop_workers();
   threads_ = n;
   if (n > 1) {
+    std::uint64_t generation = 0;
     {
       const sync::MutexLock lock(mutex_);
       errors_.reserve(n);
+      generation = generation_;
     }
     workers_.reserve(n - 1);
     for (std::size_t w = 0; w + 1 < n; ++w)
-      workers_.emplace_back([this, w] { worker_main(w); });
+      workers_.emplace_back(
+          [this, w, generation] { worker_main(w, generation); });
   }
 }
 
@@ -88,8 +91,7 @@ void EpochPool::run_erased(Thunk thunk, void* ctx) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void EpochPool::worker_main(std::size_t worker) {
-  std::uint64_t seen = 0;
+void EpochPool::worker_main(std::size_t worker, std::uint64_t seen) {
   for (;;) {
     Thunk thunk = nullptr;
     void* ctx = nullptr;
@@ -121,7 +123,23 @@ void EpochPool::worker_main(std::size_t worker) {
 // ---------------------------------------------------------------- EventCore
 
 EventCore::EventCore(const ArchParams& params)
-    : params_(params), pool_(params.num_pes) {}
+    : params_(params), pool_(params.num_pes) {
+  // Every per-PE and per-cost-group vector at its bound up front: an
+  // input with more distinct cost groups than any before it must not
+  // reallocate mid-inference (the arena path's zero-allocation
+  // contract).
+  const std::size_t n = params.num_pes;
+  wake_.reserve(n);
+  pending_.reserve(n);
+  pe_cost_.reserve(n);
+  cost_.reserve(n);
+  pops_.reserve(n);
+  sched_t_.reserve(n);
+  scheduled_.reserve(n);
+  idle_.reserve(n);
+  pending_inj_.reserve(n);
+  merge_cursor_.reserve(n);
+}
 
 // ------------------------------------------------------------------ V phase
 
@@ -254,18 +272,19 @@ void EventCore::do_pop(std::size_t g, std::uint64_t t) {
 std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
                                      UpwardTree& tree,
                                      BroadcastChannel& broadcast,
-                                     std::size_t input_dim,
+                                     std::size_t max_flits,
                                      LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
   const std::size_t num_pes = pes.size();
   const std::uint64_t queue_depth = params_.act_queue_depth;
 
-  // The flit list scales with this input's nnz; size its capacity by
-  // the structural bound (one flit per input element) so steady-state
-  // inferences never regrow it — the arena path's zero-allocation
-  // contract.
-  acts_.reserve(input_dim);
+  // The activation list scales with this input's nnz; size it by the
+  // image's structural bound (one flit per input element of its widest
+  // layer) so no later input or layer regrows it — the arena path's
+  // zero-allocation contract.
+  w_index_.reserve(max_flits);
+  w_value_.reserve(max_flits);
 
   // Epoch: phase start; record each PE's fixed per-pop datapath cost.
   pe_cost_.resize(num_pes);
@@ -294,16 +313,32 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
 
   // Everything the phase will deliver is known up front: the broadcast
   // multicasts every injected flit to every PE, so the data pass at
-  // the end applies this one PE-major list everywhere (int64
-  // accumulation is exact and order-independent).
-  acts_.clear();
+  // the end applies one list everywhere (int64 accumulation is exact
+  // and order-independent). Built ascending by index: PE i's flits
+  // carry indices slot·P + i in slot order, so walking slots outer and
+  // PEs inner merges them.
   pending_inj_.clear();
+  std::size_t total = 0;
   for (std::size_t i = 0; i < num_pes; ++i) {
-    const auto flits = pes[i].w_injection_flits();
-    acts_.insert(acts_.end(), flits.begin(), flits.end());
-    if (!flits.empty()) pending_inj_.push_back(static_cast<std::uint32_t>(i));
+    const std::size_t n = pes[i].w_injection_flits().size();
+    total += n;
+    if (n != 0) pending_inj_.push_back(static_cast<std::uint32_t>(i));
   }
-  const std::uint64_t total = acts_.size();
+  w_index_.clear();
+  w_value_.clear();
+  merge_cursor_.assign(num_pes, 0);
+  for (std::size_t base = 0; w_index_.size() < total; base += num_pes) {
+    ensures(base < max_flits, "W injection list is not slot-ordered");
+    for (const std::uint32_t i : pending_inj_) {
+      const auto flits = pes[i].w_injection_flits();
+      std::uint32_t& c = merge_cursor_[i];
+      if (c < flits.size() && flits[c].index == base + i) {
+        w_index_.push_back(flits[c].index);
+        w_value_.push_back(static_cast<std::int16_t>(flits[c].payload));
+        ++c;
+      }
+    }
+  }
   bool all_injected = pending_inj_.empty();
 
   // Timing-model state: every group starts idle (empty queue, free
@@ -452,7 +487,7 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
   // activation and charges the per-activation event totals.
   pool_.run([&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i)
-      pes[i].apply_w_activations(acts_);
+      pes[i].apply_w_activations(w_index_, w_value_);
   });
 
   stats_.cycles_ticked += cycles;

@@ -22,7 +22,11 @@
 //     activation reaches every PE and int64 accumulation is exact and
 //     order-independent, so the datapath work and its event counters
 //     are applied in one bulk pass per PE at phase end
-//     (ProcessingElement::apply_w_activations), while the cycle loop
+//     (ProcessingElement::apply_w_activations): the phase merges every
+//     PE's injection list once into a single ascending (index, value)
+//     list, shared by all PEs, and each PE walks it once per
+//     predicted-active row (row-outer, accumulator in a register, the
+//     W row read in address order). Meanwhile the cycle loop
 //     runs a compact queue-timing model over *cost groups*: every PE
 //     sees the same delivery stream and pops at a fixed per-phase
 //     cost, so PEs with equal cost have identical pop schedules and
@@ -105,7 +109,10 @@ class EpochPool {
   }
 
   void run_erased(Thunk thunk, void* ctx);
-  void worker_main(std::size_t worker);
+  /// `seen` is the epoch generation current when the worker spawned:
+  /// it waits for the next one (a worker spawned by a resize after
+  /// earlier epochs must not replay the last, finished one).
+  void worker_main(std::size_t worker, std::uint64_t seen);
   void stop_workers();
   std::pair<std::size_t, std::size_t> shard(std::size_t s) const noexcept {
     return {s * num_items_ / threads_, (s + 1) * num_items_ / threads_};
@@ -172,14 +179,15 @@ class EventCore {
 
   /// Event-driven W phase: identical contract and observables to
   /// AcceleratorSim::simulate_w_phase (start_w_phase through the last
-  /// drained cycle plus the bulk data pass). `input_dim` is the
-  /// layer's input dimension — the structural upper bound on injected
-  /// flits, used to pre-size scratch so steady-state inferences stay
+  /// drained cycle plus the bulk data pass). `max_flits` bounds the
+  /// flits any layer of the compiled image can inject — its widest
+  /// layer input (CompiledNetwork::max_broadcast_flits) — and sizes the
+  /// shared activation list once, so steady-state inferences stay
   /// allocation-free. Fills result.w_noc and returns the phase cycles
   /// including the PE pipeline drain.
   std::uint64_t run_w_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
-                            std::size_t input_dim, LayerSimResult& result);
+                            std::size_t max_flits, LayerSimResult& result);
 
   const Stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = Stats{}; }
@@ -200,7 +208,10 @@ class EventCore {
   std::vector<std::uint32_t> pending_;   ///< open injectors, ascending
 
   // ---- W phase scratch (the cost-group queue-timing model) ----
-  std::vector<Flit> acts_;               ///< all activations, PE-major
+  /// The phase's activations, ascending by index: the data pass list.
+  std::vector<std::uint32_t> w_index_;
+  std::vector<std::int16_t> w_value_;
+  std::vector<std::uint32_t> merge_cursor_;  ///< per-PE, building the list
   std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop (epoch out)
   std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
   std::vector<std::uint64_t> pops_;      ///< per-group pops so far

@@ -7,6 +7,7 @@
 // orderings (input density, queue depth, flow control) the same way
 // noc_fuzz_test randomises traffic.
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -160,6 +161,53 @@ TEST(EventCoreStats, SkipsCycles) {
 
   sim.reset_event_core_stats();
   EXPECT_EQ(sim.event_core_stats(), EventCore::Stats{});
+}
+
+// Resizing the shard pool after epochs have run: workers spawned by
+// the resize must wait for the next epoch, not replay the last one.
+// The first epoch's functor stays alive, so a replay would show up as
+// a doubled count instead of a dangling call.
+TEST(EpochPoolResize, GrowingAfterAnEpochRunsEachItemOnce) {
+  constexpr std::size_t kItems = 64;
+  EpochPool pool(kItems);
+  std::vector<std::atomic<int>> hits(kItems);
+  auto count = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  };
+  pool.set_threads(2);
+  pool.run(count);
+  pool.set_threads(4);
+  ASSERT_EQ(pool.threads(), 4u);
+  auto count_again = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  };
+  pool.run(count_again);
+  pool.run(count_again);
+  for (std::size_t i = 0; i < kItems; ++i)
+    EXPECT_EQ(hits[i].load(), 3) << "item " << i;
+}
+
+// The same resize through the engine: an inference at 2 shard
+// threads, then at 4 on the same simulator, each bit-identical to the
+// per-cycle reference.
+TEST(EpochPoolResize, EngineResultsSurviveResize) {
+  const auto fixture = make_batch_fixture(2, /*seed=*/74);
+  const ArchParams arch = test_fixtures::tiny_arch();
+  const CompiledNetwork compiled(fixture.network, arch, true);
+  AcceleratorSim sim(arch);
+  for (std::size_t s = 0; s < fixture.data.inputs.rows(); ++s) {
+    const std::vector<float> input = sample_of(fixture.data, s);
+    const SimResult per_cycle =
+        run_mode(compiled, input, arch, SteppingMode::kPerCycle, 1);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      sim.set_sim_options(
+          SimOptions{.stepping = SteppingMode::kEvent,
+                     .sim_threads = threads});
+      EXPECT_EQ(sim.run(compiled, input, ValidationMode::kFull),
+                per_cycle)
+          << "input " << s << " threads " << threads;
+    }
+  }
 }
 
 TEST(SteppingModeNames, RoundTrip) {

@@ -9,7 +9,7 @@
 
 #include "core/system.hpp"
 #include "nn/serialize.hpp"
-#include "noc/router.hpp"
+#include "noc/htree.hpp"
 #include "pe/act_queue.hpp"
 #include "sim/accelerator.hpp"
 
@@ -229,10 +229,11 @@ TEST(FaultInjection, QueueOverflowIsDetectedNotSilent) {
 }
 
 TEST(FaultInjection, RouterBufferOverrunTraps) {
-  Router r(4, 2, 1, RouterMode::kArbitrate);
-  r.push(0, Flit{.index = 1});
-  r.push(0, Flit{.index = 2});
-  EXPECT_THROW(r.push(0, Flit{.index = 3}), InvariantError);
+  // A single-router tree: PE 0 feeds the root's port 0 directly.
+  UpwardTree r(4, 4, 2, 1, RouterMode::kArbitrate);
+  r.inject(0, Flit{.index = 1});
+  r.inject(0, Flit{.index = 2});
+  EXPECT_THROW(r.inject(0, Flit{.index = 3}), InvariantError);
 }
 
 TEST(FaultInjection, CorruptedWeightChangesSimulatorOutput) {

@@ -1,6 +1,6 @@
-// Tests for src/noc: router arbitration and credit flow control, the
-// accumulate (reduction) mode, H-tree delivery properties, and the
-// broadcast channel.
+// Tests for src/noc: router arbitration and credit flow control (on a
+// single-router tree), the accumulate (reduction) mode, H-tree
+// delivery properties, and the broadcast channel.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "noc/htree.hpp"
-#include "noc/router.hpp"
 
 namespace sparsenn {
 namespace {
@@ -21,123 +20,124 @@ Flit flit(std::uint32_t index, std::int64_t payload = 1,
   return Flit{.index = index, .payload = payload, .source = source};
 }
 
+// ---- one router ----
+// A tree over `radix` PEs is a single router (the root): PE p feeds
+// its input port p, and each step() decides and commits one cycle.
+
+UpwardTree single_router(std::size_t radix, std::size_t depth,
+                         std::size_t credit_latency, RouterMode mode) {
+  return UpwardTree(radix, radix, depth, credit_latency, mode);
+}
+
 TEST(Router, SmallestIndexWinsArbitration) {
-  Router r(4, 4, 1, RouterMode::kArbitrate);
-  r.push(0, flit(30));
-  r.push(1, flit(10));
-  r.push(2, flit(20));
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kArbitrate);
+  r.inject(0, flit(30));
+  r.inject(1, flit(10));
+  r.inject(2, flit(20));
   const auto out = r.step(true);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->index, 10u);
-  r.commit();
-  EXPECT_EQ(r.stats().flits_forwarded, 1u);
-  EXPECT_EQ(r.stats().arbitration_conflicts, 1u);
+  EXPECT_EQ(r.router(0).stats.flits_forwarded, 1u);
+  EXPECT_EQ(r.router(0).stats.arbitration_conflicts, 1u);
 }
 
 TEST(Router, LosersWaitInOrder) {
-  Router r(4, 4, 1, RouterMode::kArbitrate);
-  r.push(0, flit(3));
-  r.push(1, flit(1));
-  r.push(2, flit(2));
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kArbitrate);
+  r.inject(0, flit(3));
+  r.inject(1, flit(1));
+  r.inject(2, flit(2));
   std::vector<std::uint32_t> order;
   for (int i = 0; i < 3; ++i) {
     const auto out = r.step(true);
     ASSERT_TRUE(out.has_value());
     order.push_back(out->index);
-    r.commit();
   }
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_TRUE(r.idle());
 }
 
 TEST(Router, StallsWithoutParentCredit) {
-  Router r(4, 4, 1, RouterMode::kArbitrate);
-  r.push(0, flit(5));
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kArbitrate);
+  r.inject(0, flit(5));
   const auto out = r.step(false);
   EXPECT_FALSE(out.has_value());
-  r.commit();
-  EXPECT_EQ(r.stats().credit_stalls, 1u);
+  EXPECT_EQ(r.router(0).stats.credit_stalls, 1u);
   EXPECT_FALSE(r.idle());  // flit still buffered
 }
 
 TEST(Router, CreditProtocolLimitsOccupancy) {
   // Credit latency 2: a freed slot is invisible to the child for one
   // full cycle after the pop.
-  Router r(4, 2, 2, RouterMode::kArbitrate);
-  EXPECT_TRUE(r.can_accept(0));
-  r.push(0, flit(1));
-  EXPECT_TRUE(r.can_accept(0));
-  r.push(0, flit(2));
-  EXPECT_FALSE(r.can_accept(0));  // depth 2 reached
+  UpwardTree r = single_router(4, 2, 2, RouterMode::kArbitrate);
+  EXPECT_TRUE(r.can_inject(0));
+  r.inject(0, flit(1));
+  EXPECT_TRUE(r.can_inject(0));
+  r.inject(0, flit(2));
+  EXPECT_FALSE(r.can_inject(0));  // depth 2 reached
   const auto out = r.step(true);
   ASSERT_TRUE(out.has_value());
-  r.commit();
-  EXPECT_FALSE(r.can_accept(0));  // credit still in flight
+  EXPECT_FALSE(r.can_inject(0));  // credit still in flight
   r.step(true);
-  r.commit();
-  EXPECT_TRUE(r.can_accept(0));  // credit arrived
+  EXPECT_TRUE(r.can_inject(0));  // credit arrived
 }
 
 TEST(Router, OverflowPushThrows) {
-  Router r(2, 1, 1, RouterMode::kArbitrate);
-  r.push(0, flit(1));
-  EXPECT_THROW(r.push(0, flit(2)), InvariantError);
+  UpwardTree r = single_router(2, 1, 1, RouterMode::kArbitrate);
+  r.inject(0, flit(1));
+  EXPECT_THROW(r.inject(0, flit(2)), InvariantError);
 }
 
 TEST(Router, AccumulateSumsMatchingRows) {
-  Router r(4, 4, 1, RouterMode::kAccumulate);
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kAccumulate);
   for (std::size_t port = 0; port < 4; ++port)
-    r.push(port, flit(0, static_cast<std::int64_t>(port + 1)));
+    r.inject(port, flit(0, static_cast<std::int64_t>(port + 1)));
   const auto out = r.step(true);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->index, 0u);
   EXPECT_EQ(out->payload, 1 + 2 + 3 + 4);
-  r.commit();
-  EXPECT_EQ(r.stats().acc_operations, 3u);
+  EXPECT_EQ(r.router(0).stats.acc_operations, 3u);
   EXPECT_TRUE(r.idle());
 }
 
 TEST(Router, AccumulateWaitsForLaggards) {
-  Router r(4, 4, 1, RouterMode::kAccumulate);
-  r.push(0, flit(0, 5));
-  r.push(1, flit(0, 6));
-  r.push(2, flit(0, 7));
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kAccumulate);
+  r.inject(0, flit(0, 5));
+  r.inject(1, flit(0, 6));
+  r.inject(2, flit(0, 7));
   // Port 3 hasn't delivered: the ACC must not fire.
   EXPECT_FALSE(r.step(true).has_value());
-  r.commit();
-  r.push(3, flit(0, 8));
+  r.inject(3, flit(0, 8));
   const auto out = r.step(true);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->payload, 26);
 }
 
 TEST(Router, AccumulateSkipsClosedPorts) {
-  Router r(4, 4, 1, RouterMode::kAccumulate);
-  r.set_port_closed(2, true);
-  r.set_port_closed(3, true);
-  r.push(0, flit(0, 5));
-  r.push(1, flit(0, 7));
+  UpwardTree r = single_router(4, 4, 1, RouterMode::kAccumulate);
+  r.close_injector(2);
+  r.close_injector(3);
+  r.inject(0, flit(0, 5));
+  r.inject(1, flit(0, 7));
   const auto out = r.step(true);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->payload, 12);
-  EXPECT_FALSE(r.all_closed());
-  r.set_port_closed(0, true);
-  r.set_port_closed(1, true);
-  EXPECT_TRUE(r.all_closed());
+  EXPECT_FALSE(r.router(0).all_closed());
+  r.close_injector(0);
+  r.close_injector(1);
+  EXPECT_TRUE(r.router(0).all_closed());
 }
 
 TEST(Router, AccumulateSequenceOfRows) {
-  Router r(2, 4, 1, RouterMode::kAccumulate);
+  UpwardTree r = single_router(2, 4, 1, RouterMode::kAccumulate);
   for (std::uint32_t row = 0; row < 3; ++row) {
-    r.push(0, flit(row, 10 * (row + 1)));
-    r.push(1, flit(row, 1));
+    r.inject(0, flit(row, 10 * (row + 1)));
+    r.inject(1, flit(row, 1));
   }
   for (std::uint32_t row = 0; row < 3; ++row) {
     const auto out = r.step(true);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->index, row);
     EXPECT_EQ(out->payload, 10 * (row + 1) + 1);
-    r.commit();
   }
 }
 

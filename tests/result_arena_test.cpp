@@ -12,6 +12,10 @@
 #include <vector>
 
 #include "common/alloc_counter.hpp"
+#include "common/rng.hpp"
+#include "nn/network.hpp"
+#include "nn/predictor.hpp"
+#include "nn/trainer.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/compiled_network.hpp"
@@ -119,6 +123,46 @@ TEST(ResultArena, BatchAggregateOnlyPathIsMarginallyAllocationFree) {
   const std::uint64_t large = run_and_count(24);
   EXPECT_EQ(large, small)
       << "12 extra inferences must not allocate (marginal cost 0)";
+}
+
+TEST(ResultArena, PaperScaleUvOnInferencesAreAllocationFree) {
+  // The paper's 64-PE array at hidden width 1024, UV on: inputs differ
+  // in how many distinct per-PE W cost groups (predicted-active row
+  // counts) they produce, so a later input can need more timing-model
+  // groups than any before it. After one warm-up inference, 32 more
+  // distinct inputs must not allocate at all.
+  Rng rng{42};
+  Network net{five_layer_topology(1024), rng};
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    const auto sizes = net.layer_sizes();
+    net.set_predictor(
+        l, Predictor::random(sizes[l + 1], sizes[l], 15, rng));
+  }
+  Matrix calib(8, 784);
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib.flat()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  const QuantizedNetwork quantized(net, calib);
+  std::vector<std::vector<float>> inputs(33, std::vector<float>(784));
+  for (auto& x : inputs)
+    for (float& v : x)
+      v = rng.bernoulli(0.6) ? 0.0f
+                             : static_cast<float>(rng.uniform(0.0, 1.0));
+
+  const ArchParams arch = ArchParams::paper();
+  const CompiledNetwork compiled(quantized, arch, /*use_predictor=*/true);
+  AcceleratorSim sim(arch);
+  ResultArena arena(compiled);
+  (void)sim.run(compiled, inputs[0], arena, ValidationMode::kOff);
+
+  const std::uint64_t before = g_allocs.load();
+  std::uint64_t cycles = 0;
+  for (std::size_t i = 1; i < inputs.size(); ++i)
+    cycles += sim.run(compiled, inputs[i], arena, ValidationMode::kOff)
+                  .total_cycles;
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_EQ(allocs, 0u) << "over " << inputs.size() - 1
+                        << " marginal inferences";
+  EXPECT_GT(cycles, 0u);
 }
 
 }  // namespace
