@@ -7,16 +7,13 @@
 //   sparsenn_cli simulate --model model.bin [--variant v] [--samples n]
 //                         [--uv on|off|both] [--trace trace.csv]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
 //   sparsenn_cli batch    --model model.bin [--variant v] [--samples n]
 //                         [--threads t] [--uv on|off]
 //                         [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
 //                         [--max-batch b] [--max-wait-us us]
 //                         [--uv on|off] [--engine cycle|analytic]
-//                         [--stepping per_cycle|macro|event] [--sim-threads t]
 //                         [--deadline-us us] [--priority-mix h,n,b]
 //                         [--breaker-window n] [--breaker-threshold f]
 //                         [--degraded on|off]
@@ -32,11 +29,9 @@
 // engine) and reports aggregate throughput; `info` prints the
 // architecture configuration (and, with a model, its topology).
 // `--engine` picks the cost backend (sim/engine.hpp): `cycle` is the
-// cycle-accurate simulator, `analytic` the closed-form fast path with
-// bit-identical predictions and estimated cycles. `--stepping` picks
-// how the cycle backend advances time (event-driven by default) and
-// `--sim-threads` shards one inference's PE epochs across worker
-// threads — every combination is bit-identical (sim/event_core.hpp).
+// cycle-accurate simulator (event-driven, sim/event_core.hpp), `analytic`
+// the closed-form fast path with bit-identical predictions and
+// estimated cycles.
 // serve-bench's overload knobs exercise the control tier: a
 // per-request deadline, a high,normal,best_effort request mix (with
 // best-effort admission watermarked so it sheds first), a per-model
@@ -95,23 +90,6 @@ EngineKind parse_engine(const Args& args) {
     throw UsageError("--engine takes cycle|analytic, got '" + name + "'");
   }
   return *kind;
-}
-
-/// --stepping per_cycle|macro|event plus --sim-threads N: the cycle
-/// backend's SimOptions (sim/engine.hpp). Every combination is
-/// bit-identical; anything else is a UsageError (exit 2).
-SimOptions parse_sim_options(const Args& args) {
-  SimOptions sim;
-  const std::string name = args.get("stepping", to_string(sim.stepping));
-  const std::optional<SteppingMode> mode = parse_stepping_mode(name);
-  if (!mode) {
-    throw UsageError("--stepping takes per_cycle|macro|event, got '" +
-                     name + "'");
-  }
-  sim.stepping = *mode;
-  sim.sim_threads = std::max<std::size_t>(args.get_size("sim-threads", 1),
-                                          std::size_t{1});
-  return sim;
 }
 
 /// --simd auto|scalar (any command): `scalar` forces the scalar
@@ -200,8 +178,8 @@ int cmd_simulate(const Args& args) {
   const DatasetSplit& split = model.split;
   const QuantizedNetwork& quantized = model.quantized;
 
-  const std::unique_ptr<ExecutionEngine> engine = make_engine(
-      engine_kind, ArchParams::paper(), parse_sim_options(args));
+  const std::unique_ptr<ExecutionEngine> engine =
+      make_engine(engine_kind, ArchParams::paper());
   TraceLog log;
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) engine->set_trace(&log);
@@ -266,7 +244,6 @@ int cmd_batch(const Args& args) {
   options.use_predictor = uv == "on";
   options.keep_results = false;  // aggregate stats only
   options.engine = parse_engine(args);
-  options.sim = parse_sim_options(args);
 
   const LoadedModel model = load_model(args);
   const BatchRunner runner(ArchParams::paper(), options);
@@ -348,7 +325,6 @@ int cmd_serve_bench(const Args& args) {
   options.max_batch = args.get_size("max-batch", 8);
   options.max_wait_us = args.get_size("max-wait-us", 200);
   options.engine = parse_engine(args);
-  options.sim = parse_sim_options(args);
   options.breaker.window = args.get_size("breaker-window", 0);
   options.breaker.failure_threshold = breaker_threshold;
   options.allow_degraded = degraded == "on";

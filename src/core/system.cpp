@@ -27,7 +27,7 @@ void System::prepare() {
 
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
-  engine_ = make_engine(options_.engine, options_.arch, options_.sim);
+  engine_ = make_engine(options_.engine, options_.arch);
 
   // A re-prepare()d network carries a fresh uid, so images compiled
   // from the previous one can never be served again (the zoo key is
@@ -77,7 +77,6 @@ BatchResult System::simulate_batch(const BatchOptions& options) const {
   // an explicit one overrides it per batch.
   BatchOptions resolved = options;
   if (!resolved.engine) resolved.engine = options_.engine;
-  if (!resolved.sim) resolved.sim = options_.sim;
   const BatchRunner runner(options_.arch, resolved);
   // The pin outlives the whole batch, so no zoo churn can free the
   // image under the workers.

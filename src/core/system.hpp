@@ -42,10 +42,6 @@ struct SystemOptions {
   /// kAnalytic keeps predictions bit-identical while replacing
   /// per-cycle simulation with closed-form schedule math.
   EngineKind engine = EngineKind::kCycle;
-  /// Cycle-backend tuning (stepping mode, intra-inference sim
-  /// threads); every mode/thread count is bit-identical. The analytic
-  /// backend ignores it.
-  SimOptions sim{};
 };
 
 /// Mean per-layer hardware cost over a set of inferences.

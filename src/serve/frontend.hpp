@@ -129,10 +129,6 @@ struct ServingOptions {
   std::size_t max_queued_per_model = 256;
   /// Backend each worker instantiates per arch config.
   EngineKind engine = EngineKind::kAnalytic;
-  /// Cycle-backend tuning for those engines (stepping mode,
-  /// intra-inference sim threads); every mode/thread count is
-  /// bit-identical. The analytic backend ignores it.
-  SimOptions sim{};
   /// Compiled-image LRU capacity of each per-arch zoo.
   std::size_t zoo_capacity_per_arch = ModelZoo::kDefaultCapacity;
   /// Bounded retry for transient compile-image failures: attempts

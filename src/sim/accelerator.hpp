@@ -100,23 +100,12 @@ class AcceleratorSim final : public ExecutionEngine {
 
   /// How simulated time advances (see SteppingMode in sim/engine.hpp).
   /// Results, cycle counts, event counters and NoC statistics are
-  /// bit-identical across all three modes
-  /// (tests/compiled_engine_test and tests/event_core_test pin this);
-  /// the knob exists so tests and benches can cross-check the event
-  /// and macro cores against pure per-cycle runs. Default: kEvent,
-  /// the fastest mode.
-  void set_stepping_mode(SteppingMode mode) noexcept {
-    sim_options_.stepping = mode;
-  }
-  SteppingMode stepping_mode() const noexcept {
-    return sim_options_.stepping;
-  }
-
-  /// Full cycle-engine options (stepping mode + intra-inference shard
-  /// threads). Thread counts only matter under SteppingMode::kEvent
-  /// and never change any observable — only wall-clock.
-  void set_sim_options(const SimOptions& options);
-  const SimOptions& sim_options() const noexcept { return sim_options_; }
+  /// bit-identical in both modes (tests/event_core_test,
+  /// tests/compiled_engine_test and tests/engine_equivalence_test pin
+  /// this); the knob exists so tests and benches can cross-check the
+  /// event core against the per-cycle oracle. Default: kEvent.
+  void set_stepping_mode(SteppingMode mode) noexcept { stepping_ = mode; }
+  SteppingMode stepping_mode() const noexcept { return stepping_; }
 
   /// How much work the event core did since the last reset (empty
   /// unless runs used SteppingMode::kEvent).
@@ -153,9 +142,8 @@ class AcceleratorSim final : public ExecutionEngine {
   BroadcastChannel broadcast_;
   std::vector<bool> v_closed_;  ///< per-PE injector-closed scratch
 
-  SimOptions sim_options_;      ///< default: event stepping, 1 thread
+  SteppingMode stepping_ = SteppingMode::kEvent;
   EventCore event_core_;
-  std::vector<std::size_t> pe_scratch_;  ///< per-PE epoch outputs
   TraceLog* trace_ = nullptr;
 };
 

@@ -156,9 +156,8 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
     // steady-state inferences are allocation-free on the cycle
     // backend: the SimResult is folded into the accumulator and its
     // storage reused.
-    const std::unique_ptr<ExecutionEngine> engine = make_engine(
-        options_.engine.value_or(EngineKind::kCycle), params_,
-        options_.sim.value_or(SimOptions{}));
+    const std::unique_ptr<ExecutionEngine> engine =
+        make_engine(options_.engine.value_or(EngineKind::kCycle), params_);
     ResultArena arena;
     if (!options_.keep_results) arena.reserve(compiled);
     try {

@@ -63,13 +63,6 @@ struct BatchOptions {
   /// inherit: System::simulate_batch fills in the system's configured
   /// engine; a standalone BatchRunner resolves it to kCycle.
   std::optional<EngineKind> engine;
-  /// Cycle-backend tuning each worker's engine is built with
-  /// (stepping mode, intra-inference sim threads); every mode/thread
-  /// count is bit-identical. Unset inherits like `engine`:
-  /// System::simulate_batch fills in the system's configured sim
-  /// options; a standalone BatchRunner resolves it to the defaults.
-  /// The analytic backend ignores it.
-  std::optional<SimOptions> sim;
 };
 
 /// Aggregate per-layer totals over the whole batch (exact integer sums).

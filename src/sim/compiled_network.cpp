@@ -31,6 +31,26 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
   extents.reserve(num_layers_ * params_.num_pes);
   slices_.reserve(num_layers_ * params_.num_pes);
 
+  // Every pool at its final size up front: the PEs' slices of a layer
+  // cover its rows (and V's columns) exactly once. Growing the pools
+  // slice by slice would reallocate and copy the multi-megabyte W pool
+  // once per slice, and the freed copies would set the compile's peak
+  // memory.
+  std::size_t rows = 0, w = 0, u = 0, v = 0;
+  for (std::size_t l = 0; l < num_layers_; ++l) {
+    const QuantizedLayer& layer = network.layer(l);
+    rows += layer.w.rows;
+    w += layer.w.rows * layer.w.cols;
+    if (use_predictor && layer.has_predictor() && !layer.is_output) {
+      u += layer.w.rows * layer.u->cols;
+      v += layer.v->rows * layer.v->cols;
+    }
+  }
+  rows_pool_.reserve(rows);
+  w_pool_.reserve(w);
+  u_pool_.reserve(u);
+  v_pool_.reserve(v);
+
   for (std::size_t l = 0; l < num_layers_; ++l) {
     const QuantizedLayer& layer = network.layer(l);
     // Worst-case broadcast occupancy of this layer's phases: the V

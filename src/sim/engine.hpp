@@ -5,8 +5,10 @@
 // executed by more than one cost backend:
 //
 //   EngineKind::kCycle    — AcceleratorSim (sim/accelerator.hpp), the
-//     cycle-accurate 64-PE model: per-cycle NoC stepping, exact event
-//     counts, the paper's verification path;
+//     cycle-accurate 64-PE model: cycle-by-cycle NoC stepping, exact
+//     event counts, the paper's verification path. It advances time
+//     event-driven by default and per-cycle as the oracle
+//     (SteppingMode below);
 //
 //   EngineKind::kAnalytic — AnalyticEngine (sim/analytic_engine.hpp):
 //     the functional fixed-point forward pass (bit-exact activations,
@@ -93,33 +95,13 @@ const char* to_string(EngineKind kind) noexcept;
 /// anything else.
 std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
-/// How the cycle engine advances simulated time. All three modes are
+/// How the cycle engine advances simulated time. Both modes are
 /// bit-identical in every observable (cycles, event counts, NoC stats,
 /// activations) — they differ only in wall-clock speed. The analytic
-/// engine ignores the knob (it never ticks).
+/// engine has no such knob (it never ticks).
 enum class SteppingMode {
-  kPerCycle,  ///< every component visited every cycle (the reference)
-  kMacro,     ///< per-cycle + the three hand-proven skip windows (PR 5)
+  kPerCycle,  ///< every component visited every cycle (the oracle)
   kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
-};
-
-const char* to_string(SteppingMode mode) noexcept;
-
-/// Parses "per_cycle"/"macro"/"event" (the CLI's --stepping values);
-/// nullopt on anything else.
-std::optional<SteppingMode> parse_stepping_mode(std::string_view name);
-
-/// Cycle-engine tuning knobs, carried from the CLI/serving layers down
-/// through System/BatchRunner to the engine factory. Defaults are the
-/// fastest bit-identical configuration.
-struct SimOptions {
-  SteppingMode stepping = SteppingMode::kEvent;
-  /// Worker threads sharded across one inference's PE groups inside
-  /// the event core's parallel epochs (1 = serial). Results and stats
-  /// are bit-identical for any value. Only meaningful with kEvent.
-  std::size_t sim_threads = 1;
-
-  friend bool operator==(const SimOptions&, const SimOptions&) = default;
 };
 
 /// Interface every backend implements. Entry points mirror the
@@ -154,11 +136,9 @@ class ExecutionEngine {
 };
 
 /// Backend factory: the one place the concrete engine types are named.
-/// `sim` configures the cycle backend (stepping mode, sim threads);
-/// the analytic backend ignores it.
+/// The cycle backend it builds uses event stepping.
 std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,
-                                             const ArchParams& params,
-                                             const SimOptions& sim = {});
+                                             const ArchParams& params);
 
 /// Appends one layer's V/U/W phase records to `trace` from a filled
 /// LayerSimResult — the shared trace shape of every backend

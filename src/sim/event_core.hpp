@@ -1,7 +1,6 @@
 #pragma once
 // The event-driven cycle core (SteppingMode::kEvent) — wake-lists over
-// the same NoC the per-cycle loop drives, plus intra-inference PE-shard
-// parallelism.
+// the same NoC the per-cycle loop drives.
 //
 // The per-cycle reference visits every PE and router every cycle. This
 // core keeps the cycle-by-cycle NoC simulation (the trees and the
@@ -11,12 +10,13 @@
 //   V phase — every PE's local column-MAC burst is a deterministic
 //     number of cycles known at phase start, so the whole burst runs
 //     up front through the vectorised kernel and each PE carries a
-//     wake time; the cycle loop only walks the wake-list of PEs whose
-//     time has come. When every awake PE is credit-blocked and the
-//     tree's last step was provably quiet (no router decision, not
-//     even a cancelled one, and no closure propagation — see
-//     UpwardTree::last_step_quiet), the loop jumps straight to the
-//     next wake time.
+//     wake time. Until the earliest wake nothing injects, so the phase
+//     opens with one jump there; after that the cycle loop only walks
+//     the wake-list of PEs whose time has come. When every awake PE is
+//     credit-blocked and the tree's last step was provably quiet (no
+//     router decision, not even a cancelled one, and no closure
+//     propagation — see UpwardTree::last_step_quiet), the loop jumps
+//     straight to the next wake time.
 //
 //   W phase — PE timing is decoupled from PE data. Every delivered
 //     activation reaches every PE and int64 accumulation is exact and
@@ -32,114 +32,46 @@
 //     cost, so PEs with equal cost have identical pop schedules and
 //     collapse into one modelled group. Pop times are monotone in the
 //     cost, so the fullest queue (the root's credit view) is always
-//     the max-cost group's — an O(1) read, no histogram.
-//     The phase tail (all flits injected, NoC drained) collapses into
-//     a closed-form jump, and a fully-stalled NoC window advances in
-//     one shot — PR 5's three hand-proven macro windows fall out of
-//     "no pending event => no execution" instead of being special
-//     cases.
+//     the max-cost group's — an O(1) read, no histogram. Two windows
+//     advance in one shot: the drain tail (all flits injected, NoC
+//     empty — each group grinds down its queue in closed form) and a
+//     fully-stalled NoC (every injector credit-blocked, a full queue
+//     back-pressuring the root, UpwardTree::stalled_static) until the
+//     first full queue pops.
 //
 // Every observable — cycle counts, event tallies, NoC statistics,
-// activations — is bit-identical to the per-cycle reference; the
-// three-way suites in tests/event_core_test.cpp and the MacroStepping
-// suites pin it.
+// activations — is bit-identical to the per-cycle reference
+// (SteppingMode::kPerCycle, AcceleratorSim::simulate_v_phase /
+// simulate_w_phase); tests/event_core_test.cpp, the
+// SteppingEquivalence suite in tests/compiled_engine_test.cpp and
+// tests/engine_equivalence_test.cpp pin it.
 //
-// Parallelism: the per-PE passes with no cross-PE data flow (phase
-// starts, MAC bursts, the U phase, the W data pass) are epochs sharded
-// across worker threads by EpochPool with a barrier per epoch. Shard
-// boundaries are a pure function of (num_pes, threads) and every epoch
-// writes only per-PE state, so results and statistics are bit-identical
-// for any thread count. The serial timing loops stay on the calling
-// thread. With threads == 1 the pool runs epochs inline — no workers,
-// no locks, no allocations (the arena path's zero-allocation contract
-// covers the event core).
+// Every pass runs on the calling thread: the per-PE passes (phase
+// starts, MAC bursts, the W data pass) are plain loops, and the engine
+// performs no allocation in steady state (the arena path's
+// zero-allocation contract covers the event core). Parallelism lives
+// one level up, across inferences (BatchRunner, the serving workers).
 
 #include <cstdint>
-#include <exception>
 #include <span>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "arch/params.hpp"
-#include "common/sync.hpp"
 #include "noc/htree.hpp"
 #include "pe/pe.hpp"
 #include "sim/engine.hpp"
 
 namespace sparsenn {
 
-/// Persistent worker pool running per-PE epochs with a barrier after
-/// each. One pool per engine, engines are single-owner (never shared
-/// across threads), so set_threads()/run() are only ever called
-/// between epochs by that owner. Exceptions thrown inside a shard are
-/// captured and rethrown on the calling thread after the barrier.
-class EpochPool {
- public:
-  explicit EpochPool(std::size_t num_items);
-  ~EpochPool();
-
-  EpochPool(const EpochPool&) = delete;
-  EpochPool& operator=(const EpochPool&) = delete;
-
-  /// Resizes to `n` shards (n-1 workers + the calling thread). Joins
-  /// any existing workers first; must not be called mid-epoch.
-  void set_threads(std::size_t n);
-  std::size_t threads() const noexcept { return threads_; }
-
-  /// Runs fn(begin_item, end_item) over all items, sharded
-  /// contiguously across the pool; returns after every shard finished.
-  /// Single-threaded pools run the whole range inline.
-  template <class F>
-  void run(F&& fn) {
-    if (threads_ <= 1) {
-      fn(std::size_t{0}, num_items_);
-      return;
-    }
-    run_erased(&invoke_thunk<std::remove_reference_t<F>>,
-               std::addressof(fn));
-  }
-
- private:
-  using Thunk = void (*)(void*, std::size_t, std::size_t);
-
-  template <class F>
-  static void invoke_thunk(void* ctx, std::size_t begin, std::size_t end) {
-    (*static_cast<F*>(ctx))(begin, end);
-  }
-
-  void run_erased(Thunk thunk, void* ctx);
-  /// `seen` is the epoch generation current when the worker spawned:
-  /// it waits for the next one (a worker spawned by a resize after
-  /// earlier epochs must not replay the last, finished one).
-  void worker_main(std::size_t worker, std::uint64_t seen);
-  void stop_workers();
-  std::pair<std::size_t, std::size_t> shard(std::size_t s) const noexcept {
-    return {s * num_items_ / threads_, (s + 1) * num_items_ / threads_};
-  }
-
-  std::size_t num_items_;
-  /// Written only by set_threads() while no workers exist; read by
-  /// workers spawned afterwards (ordered by thread creation/join).
-  std::size_t threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  sync::Mutex mutex_;
-  sync::CondVar work_cv_;
-  sync::CondVar done_cv_;
-  std::uint64_t generation_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::size_t pending_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  bool stop_ SPARSENN_GUARDED_BY(mutex_) = false;
-  Thunk thunk_ SPARSENN_GUARDED_BY(mutex_) = nullptr;
-  void* ctx_ SPARSENN_GUARDED_BY(mutex_) = nullptr;
-  /// One slot per shard (0 = calling thread, unused; kept for
-  /// uniform indexing). assign() reuses capacity between epochs.
-  std::vector<std::exception_ptr> errors_ SPARSENN_GUARDED_BY(mutex_);
-};
+/// Hard ceiling on any V or W phase, in simulated cycles; hitting it
+/// means a flow-control deadlock. Both stepping modes check it with the
+/// same "V-phase deadlock"/"W-phase deadlock" messages, so a deadlock
+/// reports identically in either.
+inline constexpr std::uint64_t kCycleLimit = 50'000'000;
 
 /// The event-driven V/W phase loops. Owns only scratch (wake-lists,
-/// the W timing model, the shard pool); the PEs, trees and broadcast
-/// channel belong to the AcceleratorSim that calls in.
+/// the W timing model); the PEs, trees and broadcast channel belong to
+/// the AcceleratorSim that calls in.
 class EventCore {
  public:
   /// How much work the event core actually did, cumulative across
@@ -155,17 +87,6 @@ class EventCore {
   };
 
   explicit EventCore(const ArchParams& params);
-
-  /// Shards per-PE epochs across `n` threads (1 = inline/serial).
-  void set_threads(std::size_t n) { pool_.set_threads(n); }
-  std::size_t threads() const noexcept { return pool_.threads(); }
-
-  /// Runs fn(begin_pe, end_pe) as one barriered epoch — the hook the
-  /// engine uses for its own per-PE passes (layer prologue, U phase).
-  template <class F>
-  void parallel_pes(F&& fn) {
-    pool_.run(std::forward<F>(fn));
-  }
 
   /// Event-driven V phase: identical contract and observables to
   /// AcceleratorSim::simulate_v_phase. `from_frac`/`mid_frac` are the
@@ -200,7 +121,6 @@ class EventCore {
   void do_pop(std::size_t g, std::uint64_t t);
 
   ArchParams params_;
-  EpochPool pool_;
   Stats stats_;
 
   // ---- V phase scratch ----
@@ -212,7 +132,7 @@ class EventCore {
   std::vector<std::uint32_t> w_index_;
   std::vector<std::int16_t> w_value_;
   std::vector<std::uint32_t> merge_cursor_;  ///< per-PE, building the list
-  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop (epoch out)
+  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop
   std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
   std::vector<std::uint64_t> pops_;      ///< per-group pops so far
   std::vector<std::uint64_t> sched_t_;   ///< per-group next datapath-free cycle

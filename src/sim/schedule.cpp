@@ -50,7 +50,6 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
   append_rows_for_pe(layer.w.rows, pe, params.num_pes, rows_pool);
   const std::size_t num_rows = rows_pool.size() - rows_begin;
 
-  w_pool.reserve(w_pool.size() + num_rows * layer.w.cols);
   for (std::size_t i = 0; i < num_rows; ++i) {
     const auto row = layer.w.row(rows_pool[rows_begin + i]);
     w_pool.insert(w_pool.end(), row.begin(), row.end());
@@ -68,7 +67,6 @@ PeLayerSlice append_pe_slice(const QuantizedLayer& layer,
     slice.mid_frac = layer.mid_fmt.frac_bits;
     slice.predictor_threshold_raw = layer.threshold_raw();
 
-    u_pool.reserve(u_pool.size() + num_rows * u.cols);
     for (std::size_t i = 0; i < num_rows; ++i) {
       const auto row = u.row(rows_pool[rows_begin + i]);
       u_pool.insert(u_pool.end(), row.begin(), row.end());

@@ -23,6 +23,7 @@
 #include "data/mnist_io.hpp"
 #include "nn/predictor.hpp"
 #include "nn/quantized.hpp"
+#include "nn/trainer.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/engine.hpp"
@@ -40,6 +41,19 @@ QuantizedNetwork make_network(const Matrix& calibration) {
   Network net{{784, 64, 32, 10}, rng};
   net.set_predictor(0, Predictor::random(64, 784, 6, rng));
   net.set_predictor(1, Predictor::random(32, 64, 6, rng));
+  return QuantizedNetwork(net, calibration);
+}
+
+/// The benchmark's paper-width network: {784, 1000, 1000, 1000, 10}
+/// with rank-15 predictors on every hidden layer, as perfbench's
+/// cycle_uv_on/cycle_uv_off workloads run it.
+QuantizedNetwork make_paper_width_network(const Matrix& calibration) {
+  Rng rng{2025};
+  Network net{five_layer_topology(1000), rng};
+  for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
+    const auto& sizes = net.layer_sizes();
+    net.set_predictor(l, Predictor::random(sizes[l + 1], sizes[l], 15, rng));
+  }
   return QuantizedNetwork(net, calibration);
 }
 
@@ -114,46 +128,49 @@ TEST(EngineEquivalence, IdxTinyMnist) {
   expect_equivalent(network, *images, images->rows());
 }
 
-/// Macro-stepped and event-driven advancement vs pure per-cycle at
-/// paper scale (64 PEs, 3-level NoC, 784-wide input): full SimResult
-/// equality — cycles, events, arbitration conflicts, credit stalls,
-/// occupancy sums — for both uv modes. The wide first layer keeps the
-/// NoC saturated long enough that the stalled-NoC window is exercised,
-/// not just the V-burst and drain-tail windows. The event engine also
-/// runs sharded across 8 threads — thread count must not change a bit.
+/// Event-driven advancement vs the per-cycle oracle on the first
+/// `samples` rows of `inputs`, both uv modes, full SimResult equality.
+void expect_event_matches_per_cycle(const QuantizedNetwork& network,
+                                    const Matrix& inputs,
+                                    std::size_t samples) {
+  const ArchParams arch = ArchParams::paper();
+  AcceleratorSim event(arch);
+  AcceleratorSim per_cycle(arch);
+  per_cycle.set_stepping_mode(SteppingMode::kPerCycle);
+  ASSERT_LE(samples, inputs.rows());
+  for (const bool uv_on : {true, false}) {
+    const CompiledNetwork compiled(network, arch, uv_on);
+    for (std::size_t i = 0; i < samples; ++i) {
+      const SimResult expected =
+          per_cycle.run(compiled, inputs.row(i), ValidationMode::kOff);
+      const SimResult evented =
+          event.run(compiled, inputs.row(i), ValidationMode::kOff);
+      EXPECT_EQ(evented, expected) << "sample " << i << " uv " << uv_on;
+    }
+  }
+}
+
+/// The event core vs the per-cycle oracle at paper scale (64 PEs,
+/// 3-level NoC, 784-wide input): full SimResult equality — cycles,
+/// events, arbitration conflicts, credit stalls, occupancy sums — for
+/// both uv modes. The wide first layer keeps the NoC saturated long
+/// enough that the stalled-NoC window is exercised, not just the wake
+/// and drain-tail jumps. The second network is the width the benchmark
+/// measures ({784, 1000, 1000, 1000, 10}, 2 inputs).
 TEST(EngineEquivalence, SteppingModesBitIdenticalAtPaperScale) {
   DatasetOptions options;
   options.train_size = 16;
   options.test_size = 4;
   const DatasetSplit split = make_dataset(DatasetVariant::kBasic, options);
-  const QuantizedNetwork network = make_network(split.train.inputs);
-
-  const ArchParams arch = ArchParams::paper();
-  AcceleratorSim macro(arch);
-  macro.set_stepping_mode(SteppingMode::kMacro);
-  AcceleratorSim event(arch);
-  AcceleratorSim event_mt(arch);
-  event_mt.set_sim_options(
-      SimOptions{.stepping = SteppingMode::kEvent, .sim_threads = 8});
-  AcceleratorSim per_cycle(arch);
-  per_cycle.set_stepping_mode(SteppingMode::kPerCycle);
-  for (const bool uv_on : {true, false}) {
-    const CompiledNetwork compiled(network, arch, uv_on);
-    for (std::size_t i = 0; i < split.test.inputs.rows(); ++i) {
-      const SimResult expected = per_cycle.run(
-          compiled, split.test.inputs.row(i), ValidationMode::kOff);
-      const SimResult got = macro.run(compiled, split.test.inputs.row(i),
-                                      ValidationMode::kOff);
-      EXPECT_EQ(got, expected) << "sample " << i << " uv " << uv_on;
-      const SimResult evented = event.run(
-          compiled, split.test.inputs.row(i), ValidationMode::kOff);
-      EXPECT_EQ(evented, expected)
-          << "event sample " << i << " uv " << uv_on;
-      const SimResult sharded = event_mt.run(
-          compiled, split.test.inputs.row(i), ValidationMode::kOff);
-      EXPECT_EQ(sharded, expected)
-          << "event/8-thread sample " << i << " uv " << uv_on;
-    }
+  {
+    SCOPED_TRACE("784-64-32-10");
+    expect_event_matches_per_cycle(make_network(split.train.inputs),
+                                   split.test.inputs, 4);
+  }
+  {
+    SCOPED_TRACE("784-1000-1000-1000-10");
+    expect_event_matches_per_cycle(
+        make_paper_width_network(split.train.inputs), split.test.inputs, 2);
   }
 }
 
