@@ -35,7 +35,6 @@ struct KernelInputs {
   std::vector<std::int16_t> b;
   std::vector<std::int64_t> acc;
   std::vector<std::uint32_t> idx;
-  std::vector<std::int16_t> vals;
   std::vector<float> floats;
   std::vector<std::int16_t> out16;
   std::vector<std::uint32_t> out32;
@@ -53,12 +52,8 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
     in.b[i] = static_cast<std::int16_t>(val(rng));
   }
   in.acc.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in.a[i] != 0) {
-      in.idx.push_back(static_cast<std::uint32_t>(i));
-      in.vals.push_back(in.a[i]);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (in.a[i] != 0) in.idx.push_back(static_cast<std::uint32_t>(i));
   std::uniform_real_distribution<float> f(-40.0f, 40.0f);
   in.floats.resize(n);
   for (auto& v : in.floats) v = f(rng);
@@ -70,34 +65,6 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
 const KernelTable& table_for(bool dispatched) {
   return dispatched ? kernels() : scalar_kernels();
 }
-
-void BM_KernelDot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 1.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(k.dot_i16(in.a.data(), in.b.data(), n));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelDot)
-    ->ArgsProduct({{256, 784}, {0, 1}});
-
-void BM_KernelGatherDot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 0.35);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        k.dot_i16_gather(in.b.data(), n, in.idx.data(), in.vals.data(),
-                         in.idx.size()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(in.idx.size()));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelGatherDot)->ArgsProduct({{784}, {0, 1}});
 
 void BM_KernelAxpy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -112,21 +79,6 @@ void BM_KernelAxpy(benchmark::State& state) {
   state.SetLabel(to_string(k.isa));
 }
 BENCHMARK(BM_KernelAxpy)->ArgsProduct({{256}, {0, 1}});
-
-void BM_KernelAxpy2(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 1.0);
-  for (auto _ : state) {
-    k.axpy2_i16_i64(in.acc.data(), in.a.data(), 1234, in.b.data(), -567,
-                    n);
-    benchmark::DoNotOptimize(in.acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelAxpy2)->ArgsProduct({{256}, {0, 1}});
 
 void BM_KernelSparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -180,13 +132,12 @@ BENCHMARK(BM_KernelMacCol)->ArgsProduct({{40, 128}, {0, 1}});
 // The event core's W-phase data pass at paper shape: one PE with 16
 // predicted-active rows of a 1000-wide layer, and the ~25% nonzero
 // activations the phase delivers, as one ascending (index, value)
-// list. Three ways to compute the same exact int64 sums:
-//   MacCol     — per activation, mac_col_i16 over the active rows (the
-//                per-cycle datapath order);
-//   RowOuter/0 — per row, the scalar table's dot_i16_gather: a scalar
-//                row-outer loop, accumulator in a register;
-//   RowOuter/1 — per row, the dispatched dot_i16_gather (the AVX2
-//                gather on x86 hosts that have it).
+// list. Two ways to compute the same exact int64 sums:
+//   MacCol   — per activation, mac_col_i16 over the active rows (the
+//              per-cycle datapath order);
+//   RowOuter — per row, a scalar pass over the list with the
+//              accumulator in a register: the loop the event core ships
+//              (ProcessingElement::apply_w_activations).
 // The rows counter reports time per 1000-wide row.
 struct WDataPass {
   static constexpr std::size_t kRows = 16;
@@ -245,21 +196,22 @@ BENCHMARK(BM_WDataPassMacCol);
 
 void BM_WDataPassRowOuter(benchmark::State& state) {
   const WDataPass in = make_w_data_pass();
-  const auto& k = table_for(state.range(0) != 0);
+  const std::size_t n = in.idx.size();
   std::vector<std::int64_t> acc(WDataPass::kRows, 0);
   for (auto _ : state) {
     for (const std::uint32_t r : in.rows) {
-      acc[r] += k.dot_i16_gather(in.w.data() + r * WDataPass::kStride,
-                                 WDataPass::kStride, in.idx.data(),
-                                 in.vals.data(), in.idx.size());
+      const std::int16_t* row = in.w.data() + r * WDataPass::kStride;
+      std::int64_t sum = acc[r];
+      for (std::size_t i = 0; i < n; ++i)
+        sum += std::int64_t{row[in.idx[i]]} * std::int64_t{in.vals[i]};
+      acc[r] = sum;
     }
     benchmark::DoNotOptimize(acc.data());
     benchmark::ClobberMemory();
   }
   set_w_data_pass_counters(state, in);
-  state.SetLabel(to_string(k.isa));
 }
-BENCHMARK(BM_WDataPassRowOuter)->Arg(0)->Arg(1);
+BENCHMARK(BM_WDataPassRowOuter);
 
 void BM_KernelNonzeroScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

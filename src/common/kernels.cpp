@@ -31,29 +31,10 @@ std::int64_t dot_scalar(const std::int16_t* a, const std::int16_t* b,
   return acc;
 }
 
-std::int64_t dot_gather_scalar(const std::int16_t* row, std::size_t n,
-                               const std::uint32_t* idx,
-                               const std::int16_t* vals, std::size_t nnz) {
-  (void)n;
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < nnz; ++i)
-    acc += std::int64_t{row[idx[i]]} * std::int64_t{vals[i]};
-  return acc;
-}
-
 void axpy_scalar(std::int64_t* acc, const std::int16_t* w, std::int16_t a,
                  std::size_t n) {
   for (std::size_t j = 0; j < n; ++j)
     acc[j] += std::int64_t{w[j]} * std::int64_t{a};
-}
-
-void axpy2_scalar(std::int64_t* acc, const std::int16_t* w0,
-                  std::int16_t a0, const std::int16_t* w1,
-                  std::int16_t a1, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    acc[j] += std::int64_t{w0[j]} * std::int64_t{a0} +
-              std::int64_t{w1[j]} * std::int64_t{a1};
-  }
 }
 
 void sparse_matvec_scalar(std::int64_t* acc, const std::int16_t* cols,
@@ -104,9 +85,8 @@ void quantize_scalar(const float* in, std::size_t n, float scale,
 }
 
 constexpr KernelTable kScalarTable{
-    SimdIsa::kScalar,    dot_scalar,     dot_gather_scalar,
-    axpy_scalar,         axpy2_scalar,   sparse_matvec_scalar,
-    scan_scalar,         predict_bits_scalar, mac_col_scalar,
+    SimdIsa::kScalar,     axpy_scalar,    sparse_matvec_scalar,
+    scan_scalar,          predict_bits_scalar, mac_col_scalar,
     quantize_scalar,
 };
 
@@ -114,10 +94,8 @@ constexpr KernelTable kScalarTable{
 // 8 int16 MACs per step: widen both operands to i32 (products of two
 // int16 fit 31 bits, so mullo_epi32 is exact — note _mm256_madd_epi16
 // is NOT usable here: two -32768·-32768 products overflow its i32
-// lanes), then widen the products to i64 before accumulating. Gathers
-// load 32-bit lanes at 16-bit offsets, so the last in-bounds word of a
-// block is excluded from the vector path (ascending index order makes
-// the guard a single comparison per block).
+// lanes), then widen the products to i64 before accumulating (axpy2
+// uses madd only where its guard proves the pair sum fits).
 #if defined(SPARSENN_X86)
 
 __attribute__((target("avx2"))) inline std::int64_t hsum_i64x4(__m256i v) {
@@ -144,34 +122,6 @@ __attribute__((target("avx2"))) std::int64_t dot_avx2(
   }
   std::int64_t sum = hsum_i64x4(acc);
   for (; c < n; ++c) sum += std::int64_t{a[c]} * std::int64_t{b[c]};
-  return sum;
-}
-
-__attribute__((target("avx2"))) std::int64_t dot_gather_avx2(
-    const std::int16_t* row, std::size_t n, const std::uint32_t* idx,
-    const std::int16_t* vals, std::size_t nnz) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  // A gather lane reads 4 bytes at byte offset 2·idx, touching words
-  // idx and idx+1 — every index in the block must satisfy idx+2 ≤ n.
-  // Indices ascend, so checking the block's last index suffices.
-  for (; i + 8 <= nnz && idx[i + 7] + 2 <= n; i += 8) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    __m256i g = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(row), vi, 2);
-    g = _mm256_srai_epi32(_mm256_slli_epi32(g, 16), 16);
-    const __m128i vv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i));
-    const __m256i p = _mm256_mullo_epi32(g, _mm256_cvtepi16_epi32(vv));
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p)));
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(p, 1)));
-  }
-  std::int64_t sum = hsum_i64x4(acc);
-  for (; i < nnz; ++i)
-    sum += std::int64_t{row[idx[i]]} * std::int64_t{vals[i]};
   return sum;
 }
 
@@ -364,15 +314,13 @@ __attribute__((target("avx2"))) void quantize_avx2(const float* in,
 }
 
 constexpr KernelTable kAvx2Table{
-    SimdIsa::kAvx2,    dot_avx2,     dot_gather_avx2,
-    axpy_avx2,         axpy2_avx2,   sparse_matvec_avx2,
-    scan_avx2,         predict_bits_avx2, mac_col_scalar,
+    SimdIsa::kAvx2,     axpy_avx2,      sparse_matvec_avx2,
+    scan_avx2,          predict_bits_avx2, mac_col_scalar,
     quantize_avx2,
 };
 
 // ------------------------------------------------------------- SSE4.2
-// Same widening scheme at 128-bit width. No gather instruction exists,
-// so the index-walking kernels keep the scalar loads.
+// Same widening scheme at 128-bit width.
 
 __attribute__((target("sse4.2"))) std::int64_t dot_sse42(
     const std::int16_t* a, const std::int16_t* b, std::size_t n) {
@@ -419,14 +367,6 @@ __attribute__((target("sse4.2"))) void axpy_sse42(std::int64_t* acc,
                           _mm_cvtepi32_epi64(_mm_srli_si128(p, 8))));
   }
   for (; j < n; ++j) acc[j] += std::int64_t{w[j]} * std::int64_t{a};
-}
-
-__attribute__((target("sse4.2"))) void axpy2_sse42(
-    std::int64_t* acc, const std::int16_t* w0, std::int16_t a0,
-    const std::int16_t* w1, std::int16_t a1, std::size_t n) {
-  // Exact integer accumulation: two single sweeps equal the fused one.
-  axpy_sse42(acc, w0, a0, n);
-  axpy_sse42(acc, w1, a1, n);
 }
 
 __attribute__((target("sse4.2"))) void sparse_matvec_sse42(
@@ -489,8 +429,7 @@ __attribute__((target("sse4.2"))) void quantize_sse42(const float* in,
 }
 
 constexpr KernelTable kSse42Table{
-    SimdIsa::kSse42,    dot_sse42,      dot_gather_scalar,
-    axpy_sse42,         axpy2_sse42,    sparse_matvec_sse42,
+    SimdIsa::kSse42,    axpy_sse42,     sparse_matvec_sse42,
     scan_sse42,         predict_bits_sse42, mac_col_scalar,
     quantize_sse42,
 };
@@ -620,9 +559,8 @@ void quantize_neon(const float* in, std::size_t n, float scale,
 }
 
 constexpr KernelTable kNeonTable{
-    SimdIsa::kNeon,    dot_neon,       dot_gather_scalar,
-    axpy_neon,         axpy2_neon,     sparse_matvec_neon,
-    scan_neon,         predict_bits_neon, mac_col_scalar,
+    SimdIsa::kNeon,     axpy_neon,      sparse_matvec_neon,
+    scan_neon,          predict_bits_neon, mac_col_scalar,
     quantize_neon,
 };
 

@@ -68,8 +68,6 @@ bool ModelZoo::contains(const QuantizedNetwork& network,
   return false;
 }
 
-void ModelZoo::invalidate() noexcept { entries_.clear(); }
-
 std::size_t ModelZoo::invalidate(std::uint64_t uid) noexcept {
   std::size_t dropped = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {

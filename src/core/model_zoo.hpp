@@ -23,19 +23,21 @@
 //     invalidates only that network's entries: get() drops same-uid
 //     entries whose epoch moved, other networks stay warm.
 //
-// Thread-safety: none, *statically enforced at the owners*: System and
-// ZooRegistry declare their zoo/zoo-map members
-// SPARSENN_GUARDED_BY(their mutex) (common/sync.hpp), so clang's
-// -Wthread-safety proves every access to a zoo is serialised — the
-// returned image is shared read-only across threads. get() hands out a shared_ptr that co-owns the
-// image: eviction and invalidation only drop the zoo's own reference,
-// so an image held by an in-flight inference stays alive until that
-// inference releases it. (The pre-serving contract — "references are
-// valid until eviction, size the capacity above the pairs in flight" —
-// cannot hold under multi-model serving churn, where an eviction can
-// race an arbitrarily long cycle-engine run.) The source
-// QuantizedNetwork must still outlive any pinned image: the image's
-// stale() check reads through its network pointer.
+// Thread-safety: none. Concurrent callers (System, the serving
+// frontend) go through ZooRegistry (core/zoo_registry.hpp), which
+// declares its zoo map SPARSENN_GUARDED_BY(its mutex)
+// (common/sync.hpp), so clang's -Wthread-safety proves every access to
+// a shared zoo is serialised; a zoo used directly (tests,
+// bench/sim_throughput) stays on one thread. The returned image is
+// shared read-only across threads: get() hands out a shared_ptr that
+// co-owns the image, so eviction and invalidation only drop the zoo's
+// own reference and an image held by an in-flight inference stays
+// alive until that inference releases it. (The pre-serving contract —
+// "references are valid until eviction, size the capacity above the
+// pairs in flight" — cannot hold under multi-model serving churn,
+// where an eviction can race an arbitrarily long cycle-engine run.)
+// The source QuantizedNetwork must still outlive any pinned image: the
+// image's stale() check reads through its network pointer.
 
 #include <cstdint>
 #include <list>
@@ -74,9 +76,6 @@ class ModelZoo {
   /// Whether a live image exists for (network@its-current-epoch, uv).
   bool contains(const QuantizedNetwork& network,
                 bool use_predictor) const noexcept;
-
-  /// Drops every image (e.g. when source networks die before the zoo).
-  void invalidate() noexcept;
 
   /// Drops all of one network's images (both uv modes, any epoch);
   /// returns how many were dropped.

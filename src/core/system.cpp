@@ -5,8 +5,7 @@
 
 namespace sparsenn {
 
-System::System(SystemOptions options)
-    : options_(std::move(options)), zoo_(options_.arch) {
+System::System(SystemOptions options) : options_(std::move(options)) {
   options_.arch.validate();
   expects(options_.topology.size() >= 2, "topology too small");
   for (std::size_t width : options_.topology) {
@@ -28,12 +27,6 @@ void System::prepare() {
   log_info("system", "quantising to 16-bit fixed point");
   quantized_.emplace(model_->network, split_->train.inputs);
   engine_ = make_engine(options_.engine, options_.arch);
-
-  // A re-prepare()d network carries a fresh uid, so images compiled
-  // from the previous one can never be served again (the zoo key is
-  // (uid, epoch), not the address) — drop them eagerly.
-  const sync::MutexLock lock(cache_mutex_);
-  zoo_.invalidate();
 }
 
 const DatasetSplit& System::dataset() const {
@@ -85,7 +78,7 @@ BatchResult System::simulate_batch(const BatchOptions& options) const {
   return runner.run(*image, split_->test);
 }
 
-HardwareComparison System::compare_hardware(std::size_t samples) {
+HardwareComparison System::compare_hardware(std::size_t samples) const {
   expects(prepared(), "call prepare() first");
   samples = std::min(samples, split_->test.size());
   expects(samples > 0, "need at least one sample");
@@ -93,45 +86,33 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
   const std::size_t hidden = network().num_hidden_layers();
   const EnergyModel energy(options_.arch);
 
-  HardwareComparison out;
-  out.samples = samples;
-  out.uv_on.assign(hidden, {});
-  out.uv_off.assign(hidden, {});
-
-  const auto absorb = [&](std::vector<LayerHardwareCost>& dest,
-                          const SimResult& run) {
-    for (std::size_t l = 0; l < hidden; ++l) {
-      const LayerSimResult& layer = run.layers[l];
-      const EnergyReport e = energy.report(layer.events);
-      LayerHardwareCost& cost = dest[l];
-      cost.mean_cycles += static_cast<double>(layer.total_cycles);
-      cost.mean_v_cycles += static_cast<double>(layer.v_cycles);
-      cost.mean_u_cycles += static_cast<double>(layer.u_cycles);
-      cost.mean_w_cycles += static_cast<double>(layer.w_cycles);
-      cost.mean_power_mw += e.avg_power_mw;
-      cost.mean_energy_uj += e.total_uj;
-      cost.mean_nnz_inputs += static_cast<double>(layer.nnz_inputs);
-      cost.mean_active_rows += static_cast<double>(layer.active_rows);
+  // One batch per uv mode: its first inference runs with the golden
+  // cross-check, the rest trust the engine (results are bit-identical
+  // either way). The means sum `results` in input order.
+  const auto measure = [&](bool use_predictor) {
+    BatchOptions options;
+    options.use_predictor = use_predictor;
+    options.max_samples = samples;
+    options.keep_results = true;
+    const BatchResult batch = simulate_batch(options);
+    std::vector<LayerHardwareCost> costs(hidden);
+    for (const SimResult& run : batch.results) {
+      for (std::size_t l = 0; l < hidden; ++l) {
+        const LayerSimResult& layer = run.layers[l];
+        const EnergyReport e = energy.report(layer.events);
+        LayerHardwareCost& cost = costs[l];
+        cost.mean_cycles += static_cast<double>(layer.total_cycles);
+        cost.mean_v_cycles += static_cast<double>(layer.v_cycles);
+        cost.mean_u_cycles += static_cast<double>(layer.u_cycles);
+        cost.mean_w_cycles += static_cast<double>(layer.w_cycles);
+        cost.mean_power_mw += e.avg_power_mw;
+        cost.mean_energy_uj += e.total_uj;
+        cost.mean_nnz_inputs += static_cast<double>(layer.nnz_inputs);
+        cost.mean_active_rows += static_cast<double>(layer.active_rows);
+      }
     }
-  };
-
-  // Both uv images from the cache (one slot each, so they coexist);
-  // the first sample runs with the golden cross-check, the rest trust
-  // the engine (results are bit-identical either way).
-  const std::shared_ptr<const CompiledNetwork> compiled_on = compiled(true);
-  const std::shared_ptr<const CompiledNetwork> compiled_off = compiled(false);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const ValidationMode mode =
-        i == 0 ? ValidationMode::kFull : ValidationMode::kOff;
-    absorb(out.uv_on,
-           engine_->run(*compiled_on, split_->test.image(i), mode));
-    absorb(out.uv_off,
-           engine_->run(*compiled_off, split_->test.image(i), mode));
-  }
-
-  const auto finish = [&](std::vector<LayerHardwareCost>& dest) {
     const auto n = static_cast<double>(samples);
-    for (LayerHardwareCost& cost : dest) {
+    for (LayerHardwareCost& cost : costs) {
       cost.mean_cycles /= n;
       cost.mean_v_cycles /= n;
       cost.mean_u_cycles /= n;
@@ -141,9 +122,13 @@ HardwareComparison System::compare_hardware(std::size_t samples) {
       cost.mean_nnz_inputs /= n;
       cost.mean_active_rows /= n;
     }
+    return costs;
   };
-  finish(out.uv_on);
-  finish(out.uv_off);
+
+  HardwareComparison out;
+  out.samples = samples;
+  out.uv_on = measure(true);
+  out.uv_off = measure(false);
   return out;
 }
 
@@ -153,8 +138,7 @@ void System::set_prediction_threshold(double threshold) {
   // The epoch bump above already marks this network's cached images
   // stale; drop them eagerly so a threshold sweep never holds dead
   // images across its K points.
-  const sync::MutexLock lock(cache_mutex_);
-  zoo_.invalidate(quantized_->uid());
+  zoos_.invalidate(quantized_->uid());
 }
 
 AreaBreakdown System::area() const { return compute_area(options_.arch); }

@@ -19,8 +19,7 @@
 #include "arch/area.hpp"
 #include "arch/energy.hpp"
 #include "arch/params.hpp"
-#include "common/sync.hpp"
-#include "core/model_zoo.hpp"
+#include "core/zoo_registry.hpp"
 #include "data/dataset.hpp"
 #include "nn/quantized.hpp"
 #include "nn/trainer.hpp"
@@ -79,7 +78,7 @@ class System {
 
   /// One inference of one test sample on the configured backend
   /// (SystemOptions::engine). The network's per-PE slice image comes
-  /// from the system's ModelZoo, so repeated calls (rank/threshold
+  /// from the system's ZooRegistry, so repeated calls (rank/threshold
   /// sweeps, the fig benches) compile once per (epoch, uv mode)
   /// instead of once per call; on the cycle backend the golden-model
   /// cross-check stays on (single runs are the paper's verification
@@ -95,8 +94,9 @@ class System {
   BatchResult simulate_batch(const BatchOptions& options) const;
 
   /// Measures mean per-hidden-layer cycles and power with the predictor
-  /// on and off over the first `samples` test images (Fig. 7).
-  HardwareComparison compare_hardware(std::size_t samples);
+  /// on and off over the first `samples` test images (Fig. 7): one
+  /// simulate_batch() per uv mode, averaged in input order.
+  HardwareComparison compare_hardware(std::size_t samples) const;
 
   /// Area/energy models for the configured architecture.
   AreaBreakdown area() const;
@@ -109,14 +109,12 @@ class System {
   /// so the next simulation recompiles against the new threshold.
   void set_prediction_threshold(double threshold);
 
-  /// Real compilations performed so far by the system's ModelZoo —
+  /// Real compilations performed so far by the system's ZooRegistry —
   /// observability for sweeps and tests (a threshold sweep of K points
   /// over both uv modes should compile at most 2·K images, not
   /// 2·K·samples).
-  std::uint64_t compiled_network_compile_count() const
-      SPARSENN_EXCLUDES(cache_mutex_) {
-    const sync::MutexLock lock(cache_mutex_);
-    return zoo_.compile_count();
+  std::uint64_t compiled_network_compile_count() const {
+    return zoos_.compile_count();
   }
 
  private:
@@ -128,25 +126,19 @@ class System {
   /// options_.engine via make_engine).
   std::unique_ptr<ExecutionEngine> engine_;
   /// Compiled per-PE slice images shared by simulate(),
-  /// simulate_batch() and compare_hardware(); mutable because a zoo
-  /// fill is not an observable state change (results are bit-identical
-  /// to an uncached compile — tests/compiled_engine_test pins it).
-  /// ModelZoo itself is not thread-safe, so every access goes through
-  /// cache_mutex_: concurrent *const* calls (e.g. two threads in
-  /// simulate_batch()) then serialize only the image fetch and share
-  /// the filled entry read-only. The returned shared_ptr pins the
-  /// image, so a caller's in-flight inference survives even an
-  /// eviction or a concurrent-epoch invalidation — only the source
-  /// network itself (quantized_) must stay alive, which mutating calls
-  /// (set_prediction_threshold, prepare) guarantee by not running
-  /// concurrently with readers.
-  mutable sync::Mutex cache_mutex_;
-  mutable ModelZoo zoo_ SPARSENN_GUARDED_BY(cache_mutex_);
+  /// simulate_batch() and compare_hardware(). ZooRegistry is
+  /// thread-safe, so concurrent const calls share the filled entry
+  /// read-only; mutable because a fill is not an observable state
+  /// change (results are bit-identical to an uncached compile —
+  /// tests/compiled_engine_test pins it). The returned shared_ptr pins
+  /// the image, so an in-flight inference survives an eviction or
+  /// invalidation — only the source network itself (quantized_) must
+  /// stay alive, which mutating calls (set_prediction_threshold,
+  /// prepare) guarantee by not running concurrently with readers.
+  mutable ZooRegistry zoos_;
 
-  std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const
-      SPARSENN_EXCLUDES(cache_mutex_) {
-    const sync::MutexLock lock(cache_mutex_);
-    return zoo_.get(*quantized_, use_predictor);
+  std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const {
+    return zoos_.get(options_.arch, *quantized_, use_predictor);
   }
 };
 

@@ -239,8 +239,9 @@ void ProcessingElement::apply_w_activations(
   // accumulator in a register and the row read in ascending address
   // order; the sum per row is the same exact int64 value the
   // per-cycle order produces. A plain scalar loop on purpose: at paper
-  // shape it beats both the per-activation mac_col_i16 and the AVX2
-  // dot_i16_gather (bench/micro_kernels, BM_WDataPass*).
+  // shape it beats the per-activation mac_col_i16 (bench/micro_kernels,
+  // BM_WDataPass*) and beat an AVX2 gather dot product, since removed
+  // (CHANGES.md records the measurement).
   for (const std::uint32_t r : active_local_rows_) {
     const std::int16_t* row = words.data() + r * stride;
     std::int64_t acc = w_accumulators_[r];

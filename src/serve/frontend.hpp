@@ -254,10 +254,15 @@ struct ServingStats {
                            static_cast<double>(submitted)
                      : 0.0;
   }
+  /// Mean requests per claimed micro-batch, from the histogram:
+  /// counts what each batch actually held (deadline sheds included),
+  /// not admission-path failures that never reached one.
   double mean_batch_size() const noexcept {
-    return batches ? static_cast<double>(completed + failed) /
-                         static_cast<double>(batches)
-                   : 0.0;
+    if (batches == 0) return 0.0;
+    std::uint64_t requests = 0;
+    for (std::size_t n = 0; n < batch_size_counts.size(); ++n)
+      requests += (n + 1) * batch_size_counts[n];
+    return static_cast<double>(requests) / static_cast<double>(batches);
   }
 };
 

@@ -30,29 +30,10 @@ SimResult AcceleratorSim::run(const QuantizedNetwork& network,
   return run(compiled, input, ValidationMode::kFull);
 }
 
-SimResult AcceleratorSim::run(const CompiledNetwork& compiled,
-                              std::span<const float> input,
-                              ValidationMode validation) {
-  SimResult result;
-  std::vector<std::int16_t> input_scratch;
-  run_into(compiled, input, validation, input_scratch, result);
-  return result;
-}
-
 const SimResult& AcceleratorSim::run(const CompiledNetwork& compiled,
                                      std::span<const float> input,
                                      ResultArena& arena,
                                      ValidationMode validation) {
-  run_into(compiled, input, validation, arena.input_scratch(),
-           arena.result());
-  return arena.result();
-}
-
-void AcceleratorSim::run_into(const CompiledNetwork& compiled,
-                              std::span<const float> input,
-                              ValidationMode validation,
-                              std::vector<std::int16_t>& input_scratch,
-                              SimResult& out) {
   // Chaos hook at the engine boundary (throw/delay only; result
   // corruption is injected by the serving layer, which owns the
   // client-visible result).
@@ -64,6 +45,7 @@ void AcceleratorSim::run_into(const CompiledNetwork& compiled,
           "compilation (e.g. set_prediction_threshold) — recompile, or "
           "fetch through a ModelZoo");
   const QuantizedNetwork& network = compiled.network();
+  std::vector<std::int16_t>& input_scratch = arena.input_scratch();
   network.quantize_input_into(input, input_scratch);
 
   // Reserving the compiled image's worst-case broadcast occupancy up
@@ -82,6 +64,7 @@ void AcceleratorSim::run_into(const CompiledNetwork& compiled,
 
   if (trace_) trace_->begin_inference();
 
+  SimResult& out = arena.result();
   out.total_cycles = 0;
   out.layers.resize(compiled.num_layers());
   for (std::size_t l = 0; l < compiled.num_layers(); ++l) {
@@ -104,6 +87,7 @@ void AcceleratorSim::run_into(const CompiledNetwork& compiled,
   const std::vector<std::int16_t>& produced =
       validate ? golden : out.layers.back().activations;
   out.output.assign(produced.begin(), produced.end());
+  return out;
 }
 
 void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,

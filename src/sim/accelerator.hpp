@@ -24,22 +24,20 @@
 //     slices for this one inference and cross-checks every layer
 //     against nn::QuantizedNetwork (the seed engine's behaviour);
 //
-//   run(compiled, input, mode) — the batch hot path: slices come from a
-//     shared read-only CompiledNetwork, the NoC and all PE scratch are
-//     reused in place, and the golden-model cross-check is a
-//     ValidationMode knob;
+//   run(compiled, input, arena, mode) — the hot path: slices come from
+//     a shared read-only CompiledNetwork, the NoC and all PE scratch
+//     are reused in place, the SimResult lands in caller-owned storage
+//     (sim/result_arena.hpp), and the golden-model cross-check is a
+//     ValidationMode knob. With validation off the whole inference
+//     performs zero heap allocations in steady state.
 //
-//   run(compiled, input, arena, mode) — the same engine writing its
-//     SimResult into caller-owned storage (sim/result_arena.hpp): with
-//     validation off the whole inference performs zero heap
-//     allocations in steady state.
-//
-// Results are bit-identical across all entry points and modes; only
-// the wall-clock and allocation profile differ. A stale compiled image
-// (the source network mutated after compilation — see
-// QuantizedNetwork::epoch) is rejected with a precondition failure by
-// every compiled entry point instead of silently simulating outdated
-// weights.
+// The inherited by-value run(compiled, input, mode) wraps the second
+// (see ExecutionEngine in sim/engine.hpp). Results are bit-identical
+// across all entry points and modes; only the wall-clock and
+// allocation profile differ. A stale compiled image (the source
+// network mutated after compilation — see QuantizedNetwork::epoch) is
+// rejected with a precondition failure instead of silently simulating
+// outdated weights.
 //
 // The steady-state cycle loop performs no heap allocation: the trees,
 // broadcast channel, queues and scan buffers are preallocated members
@@ -67,8 +65,10 @@ class AcceleratorSim final : public ExecutionEngine {
   EngineKind kind() const noexcept override { return EngineKind::kCycle; }
   const ArchParams& params() const noexcept override { return params_; }
 
+  using ExecutionEngine::run;
+
   /// Runs one inference against a one-shot compiled image with full
-  /// validation — identical results to the compiled overload. The
+  /// validation — identical results to the compiled overloads. The
   /// input is quantised with the network's input format, scattered
   /// across the PEs, and the layers execute in sequence. Throws
   /// InvariantError if the simulated activations ever diverge from
@@ -76,19 +76,9 @@ class AcceleratorSim final : public ExecutionEngine {
   SimResult run(const QuantizedNetwork& network,
                 std::span<const float> input, bool use_predictor);
 
-  /// Runs one inference from a pre-compiled network (see
-  /// sim/compiled_network.hpp). `compiled` must have been built with
-  /// this simulator's ArchParams, must not be stale(), and must
-  /// outlive the call.
-  SimResult run(const CompiledNetwork& compiled,
-                std::span<const float> input,
-                ValidationMode validation = ValidationMode::kFull) override;
-
-  /// Same engine, but the SimResult and all its vectors live in
-  /// `arena` (see sim/result_arena.hpp): with ValidationMode::kOff the
-  /// inference is allocation-free in steady state. The returned
-  /// reference is into the arena and is overwritten by the next run
-  /// using it.
+  /// Runs one inference from a pre-compiled network into `arena` (see
+  /// ExecutionEngine::run): with ValidationMode::kOff the inference is
+  /// allocation-free in steady state.
   const SimResult& run(
       const CompiledNetwork& compiled, std::span<const float> input,
       ResultArena& arena,
@@ -115,14 +105,6 @@ class AcceleratorSim final : public ExecutionEngine {
   void reset_event_core_stats() noexcept { event_core_.reset_stats(); }
 
  private:
-  /// Shared implementation of every entry point: quantises the input
-  /// into `input_scratch`, simulates every layer into `out` (reusing
-  /// whatever capacity `out` already carries — the arena path's
-  /// zero-allocation property).
-  void run_into(const CompiledNetwork& compiled,
-                std::span<const float> input, ValidationMode validation,
-                std::vector<std::int16_t>& input_scratch, SimResult& out);
-
   void run_layer_into(const CompiledNetwork& compiled, std::size_t l,
                       LayerSimResult& result);
 

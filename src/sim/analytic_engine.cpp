@@ -14,29 +14,10 @@ AnalyticEngine::AnalyticEngine(const ArchParams& params) : params_(params) {
   params_.validate();
 }
 
-SimResult AnalyticEngine::run(const CompiledNetwork& compiled,
-                              std::span<const float> input,
-                              ValidationMode /*validation*/) {
-  // Validation is meaningless here: this engine *is* the golden
-  // functional model the cycle backend validates against.
-  SimResult result;
-  std::vector<std::int16_t> input_scratch;
-  run_into(compiled, input, input_scratch, result);
-  return result;
-}
-
 const SimResult& AnalyticEngine::run(const CompiledNetwork& compiled,
                                      std::span<const float> input,
                                      ResultArena& arena,
                                      ValidationMode /*validation*/) {
-  run_into(compiled, input, arena.input_scratch(), arena.result());
-  return arena.result();
-}
-
-void AnalyticEngine::run_into(const CompiledNetwork& compiled,
-                              std::span<const float> input,
-                              std::vector<std::int16_t>& input_scratch,
-                              SimResult& out) {
   // Chaos hook at the engine boundary (throw/delay only; result
   // corruption is injected by the serving layer, which owns the
   // client-visible result).
@@ -48,10 +29,12 @@ void AnalyticEngine::run_into(const CompiledNetwork& compiled,
           "compilation (e.g. set_prediction_threshold) — recompile, or "
           "fetch through a ModelZoo");
   const QuantizedNetwork& network = compiled.network();
+  std::vector<std::int16_t>& input_scratch = arena.input_scratch();
   network.quantize_input_into(input, input_scratch);
 
   if (trace_) trace_->begin_inference();
 
+  SimResult& out = arena.result();
   out.total_cycles = 0;
   out.layers.resize(compiled.num_layers());
   std::span<const std::int16_t> act{input_scratch};
@@ -62,6 +45,7 @@ void AnalyticEngine::run_into(const CompiledNetwork& compiled,
     act = layer.activations;
   }
   out.output.assign(act.begin(), act.end());
+  return out;
 }
 
 void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,

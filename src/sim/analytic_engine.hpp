@@ -49,10 +49,10 @@ class AnalyticEngine final : public ExecutionEngine {
   EngineKind kind() const noexcept override { return EngineKind::kAnalytic; }
   const ArchParams& params() const noexcept override { return params_; }
 
-  SimResult run(const CompiledNetwork& compiled,
-                std::span<const float> input,
-                ValidationMode validation = ValidationMode::kFull) override;
+  using ExecutionEngine::run;
 
+  /// Validation is ignored: this engine *is* the golden functional
+  /// model the cycle backend validates against.
   const SimResult& run(
       const CompiledNetwork& compiled, std::span<const float> input,
       ResultArena& arena,
@@ -61,12 +61,6 @@ class AnalyticEngine final : public ExecutionEngine {
   void set_trace(TraceLog* trace) noexcept override { trace_ = trace; }
 
  private:
-  /// Shared implementation: functional layer loop writing into `out`
-  /// (capacity reused — the arena path's low-allocation property).
-  void run_into(const CompiledNetwork& compiled,
-                std::span<const float> input,
-                std::vector<std::int16_t>& input_scratch, SimResult& out);
-
   /// One layer: bit-exact activations/mask into `result`, then the
   /// closed-form cycle/event/NoC estimates. `act` is the layer input.
   void run_layer_into(const CompiledNetwork& compiled, std::size_t l,

@@ -126,12 +126,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   const std::size_t threads = resolve_threads(options_, total);
   const bool have_labels = data.labels.size() >= total;
 
-  // With keep_results every SimResult lands in its input-index slot and
-  // aggregation happens after the join; without it each worker folds
-  // its inference into a private accumulator immediately, so peak
-  // memory stays O(threads) instead of O(batch).
+  // Each worker folds its inferences into a private accumulator as it
+  // goes, so peak memory stays O(threads) unless keep_results also
+  // copies every SimResult into its input-index slot.
   std::vector<SimResult> results(options_.keep_results ? total : 0);
-  std::vector<WorkerAccum> accums(options_.keep_results ? 0 : threads);
+  std::vector<WorkerAccum> accums(threads);
   std::atomic<std::size_t> cursor{0};
   // kFirstInference is a PER-BATCH contract: the batch shares one
   // compiled image, so one cross-check covers it. The first worker to
@@ -151,15 +150,13 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
     // One private engine per worker: backends carry per-inference
     // scratch (the cycle engine its per-PE register files and event
     // counters) across run() calls. The compiled image is shared
-    // read-only. Aggregate-only workers also carry a private
-    // ResultArena, pre-sized for the compiled image, so their
-    // steady-state inferences are allocation-free on the cycle
-    // backend: the SimResult is folded into the accumulator and its
-    // storage reused.
+    // read-only. Each worker also carries a private ResultArena,
+    // pre-sized for the compiled image, so its steady-state inferences
+    // are allocation-free on the cycle backend: the SimResult is folded
+    // into the accumulator and its storage reused.
     const std::unique_ptr<ExecutionEngine> engine =
         make_engine(options_.engine.value_or(EngineKind::kCycle), params_);
-    ResultArena arena;
-    if (!options_.keep_results) arena.reserve(compiled);
+    ResultArena arena(compiled);
     try {
       while (true) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -173,17 +170,12 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
         const ValidationMode mode =
             full ? ValidationMode::kFull : ValidationMode::kOff;
         if (full) validated_count.fetch_add(1, std::memory_order_relaxed);
-        if (options_.keep_results) {
-          results[i] = engine->run(compiled, data.image(i), mode);
-        } else {
-          const SimResult& r =
-              engine->run(compiled, data.image(i), arena, mode);
-          const bool is_correct =
-              have_labels &&
-              argmax_i16(r.output) ==
-                  static_cast<std::size_t>(data.labels[i]);
-          accums[worker_id].absorb(r, is_correct);
-        }
+        const SimResult& r = engine->run(compiled, data.image(i), arena, mode);
+        if (options_.keep_results) results[i] = r;
+        const bool is_correct =
+            have_labels &&
+            argmax_i16(r.output) == static_cast<std::size_t>(data.labels[i]);
+        accums[worker_id].absorb(r, is_correct);
       }
     } catch (...) {
       {
@@ -227,21 +219,11 @@ BatchResult BatchRunner::run(const CompiledNetwork& compiled,
   out.validated_inferences = validated_count.load();
   out.wall_seconds = std::chrono::duration<double>(stop - start).count();
 
-  // Deterministic merge: per-input results in input order, or worker
-  // accumulators in worker order — both are exact integer sums, so the
-  // totals are identical either way and for every thread count.
+  // Deterministic merge: the worker accumulators hold exact integer
+  // sums, so folding them in worker order gives the same totals for
+  // every thread count and schedule.
   WorkerAccum merged;
-  if (options_.keep_results) {
-    for (std::size_t i = 0; i < total; ++i) {
-      const bool is_correct =
-          have_labels &&
-          argmax_i16(results[i].output) ==
-              static_cast<std::size_t>(data.labels[i]);
-      merged.absorb(results[i], is_correct);
-    }
-  } else {
-    for (const WorkerAccum& accum : accums) merged.absorb(accum);
-  }
+  for (const WorkerAccum& accum : accums) merged.absorb(accum);
   out.total_cycles = merged.total_cycles;
   out.layers = std::move(merged.layers);
   for (const LayerBatchTotals& l : out.layers) out.total_events += l.events;

@@ -8,18 +8,18 @@
 // is compiled to its per-PE slice image exactly once per batch
 // (sim/compiled_network.hpp) and shared read-only by every worker:
 // per-inference work touches only input-dependent state.
-// Work is handed out through an atomic cursor, every inference writes
-// its SimResult into a preallocated slot indexed by input, and
-// aggregation happens after the join in input order. The merged
-// totals are therefore bit-identical regardless of thread count or OS
-// scheduling: integer sums over a fixed sequence do not depend on
-// which worker produced each element.
+// Work is handed out through an atomic cursor. Every worker runs each
+// inference into its own ResultArena (sim/result_arena.hpp) and folds
+// it into a private accumulator; after the join the accumulators are
+// merged in worker order. The merged totals are bit-identical
+// regardless of thread count or OS scheduling: they are exact integer
+// sums, and integer addition does not care which worker produced each
+// term. keep_results=true additionally copies each SimResult into a
+// preallocated slot indexed by input.
 //
-// With keep_results=false each worker folds inferences into a private
-// accumulator through a per-worker ResultArena
-// (sim/result_arena.hpp): past the batch's single validated inference
+// Past the batch's single validated inference
 // (BatchValidation::kFirstInference) a worker performs zero heap
-// allocations per inference —
+// allocations per inference unless it keeps results —
 // bench/sim_throughput asserts the marginal allocation count is
 // exactly 0 and tests/result_arena_test pins it.
 

@@ -1,8 +1,11 @@
 #include "sim/engine.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 #include "sim/accelerator.hpp"
 #include "sim/analytic_engine.hpp"
+#include "sim/result_arena.hpp"
 #include "sim/trace.hpp"
 
 namespace sparsenn {
@@ -27,6 +30,14 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) {
   if (name == "cycle") return EngineKind::kCycle;
   if (name == "analytic") return EngineKind::kAnalytic;
   return std::nullopt;
+}
+
+SimResult ExecutionEngine::run(const CompiledNetwork& compiled,
+                               std::span<const float> input,
+                               ValidationMode validation) {
+  ResultArena arena;
+  run(compiled, input, arena, validation);
+  return std::move(arena.result());
 }
 
 std::unique_ptr<ExecutionEngine> make_engine(EngineKind kind,

@@ -104,9 +104,11 @@ enum class SteppingMode {
   kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
 };
 
-/// Interface every backend implements. Entry points mirror the
-/// original AcceleratorSim surface so existing call sites keep
-/// compiling against either the concrete type or the interface.
+/// Interface every backend implements. A backend overrides the one
+/// virtual run(), which writes into a caller-owned ResultArena; the
+/// by-value run() is a base-class convenience over it. Backends add
+/// `using ExecutionEngine::run;` so both stay callable on the concrete
+/// type.
 class ExecutionEngine {
  public:
   virtual ~ExecutionEngine() = default;
@@ -115,20 +117,22 @@ class ExecutionEngine {
   virtual const ArchParams& params() const noexcept = 0;
 
   /// Runs one inference from a pre-compiled network (see
-  /// sim/compiled_network.hpp). `compiled` must have been built with
-  /// this engine's ArchParams, must not be stale(), and must outlive
-  /// the call.
-  virtual SimResult run(const CompiledNetwork& compiled,
-                        std::span<const float> input,
-                        ValidationMode validation = ValidationMode::kFull) = 0;
-
-  /// Same engine, but the SimResult and all its vectors live in
-  /// `arena` (see sim/result_arena.hpp); the returned reference is
-  /// into the arena and is overwritten by the next run using it.
+  /// sim/compiled_network.hpp) into `arena` (see
+  /// sim/result_arena.hpp). `compiled` must have been built with this
+  /// engine's ArchParams, must not be stale(), and must outlive the
+  /// call. The returned reference is into the arena and is overwritten
+  /// by the next run using it.
   virtual const SimResult& run(
       const CompiledNetwork& compiled, std::span<const float> input,
       ResultArena& arena,
       ValidationMode validation = ValidationMode::kFull) = 0;
+
+  /// Same inference, returned by value: runs into a fresh ResultArena
+  /// and moves the result out. Results are bit-identical to the arena
+  /// overload; only the allocation profile differs.
+  SimResult run(const CompiledNetwork& compiled,
+                std::span<const float> input,
+                ValidationMode validation = ValidationMode::kFull);
 
   /// Attaches a trace log; every subsequent run() appends per-phase
   /// records. Pass nullptr to detach. The log must outlive the engine.

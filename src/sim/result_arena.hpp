@@ -6,19 +6,20 @@
 // themselves: SimResult::layers, one LayerSimResult::activations per
 // layer, SimResult::output and the quantised-input buffer. A
 // ResultArena owns all of that storage and hands it to
-// AcceleratorSim::run(compiled, input, arena, mode), which refills it
-// in place; reserve(compiled) pre-sizes every pool from the compiled
-// image's layer dimensions, so with ValidationMode::kOff the whole
-// inference performs zero heap allocations in steady state
-// (bench/sim_throughput and tests/result_arena_test assert exactly 0).
+// ExecutionEngine::run(compiled, input, arena, mode) — the one virtual
+// entry point every backend implements — which refills it in place;
+// reserve(compiled) pre-sizes every pool from the compiled image's
+// layer dimensions, so with ValidationMode::kOff the whole inference
+// performs zero heap allocations in steady state (bench/sim_throughput
+// and tests/result_arena_test assert exactly 0).
 //
-// The arena is single-owner scratch, exactly like the simulator it
-// feeds: one arena per worker thread (BatchRunner's keep_results=false
-// path creates one next to each worker's private AcceleratorSim). The
-// SimResult returned by the arena entry point is a reference into the
-// arena and is overwritten by the next run — copy it out (heap path)
-// if it must survive, or fold it into an accumulator before the next
-// call (the batch path).
+// The arena is single-owner scratch, exactly like the engine it feeds:
+// one arena per worker thread (every BatchRunner worker and every
+// serving worker creates one next to its private engine). The
+// SimResult the arena run returns is a reference into the arena and is
+// overwritten by the next run — fold it into an accumulator before the
+// next call (the batch path), or copy it out if it must survive. The
+// by-value ExecutionEngine::run does the latter with a fresh arena.
 //
 // Validation note: ValidationMode::kFull recomputes the golden
 // functional model alongside the simulation, which allocates per layer

@@ -277,7 +277,7 @@ TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
   EXPECT_FALSE(on2->stale());
   EXPECT_EQ(on2->source_epoch(), q.epoch());
 
-  cache.invalidate();
+  cache.invalidate(q.uid());
   (void)cache.get(q, true);
   EXPECT_EQ(cache.compile_count(), 4u);
 }

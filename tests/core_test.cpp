@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/system.hpp"
 
 namespace sparsenn {
@@ -114,6 +117,61 @@ TEST(System, CompareHardwareShapes) {
   // tiny layer sizes, energy must drop or match).
   EXPECT_LE(hw.uv_on[0].mean_energy_uj,
             hw.uv_off[0].mean_energy_uj * 1.05);
+}
+
+TEST(System, CompareHardwareEqualsHandLoopOverSimulate) {
+  // compare_hardware() runs through BatchRunner; the oracle here is the
+  // definition of its means — per-sample simulate() plus the energy
+  // model, summed in input order — checked field by field with exact
+  // doubles on both engines.
+  constexpr std::size_t kSamples = 3;
+  for (const EngineKind kind : {EngineKind::kCycle, EngineKind::kAnalytic}) {
+    SystemOptions options = tiny_options();
+    options.engine = kind;
+    System system(options);
+    system.prepare();
+    const HardwareComparison hw = system.compare_hardware(kSamples);
+    EXPECT_EQ(hw.samples, kSamples);
+    const EnergyModel energy = system.energy_model();
+    const std::size_t hidden = system.network().num_hidden_layers();
+    for (const bool uv : {true, false}) {
+      std::vector<LayerHardwareCost> expected(hidden);
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        const SimResult run = system.simulate(i, uv);
+        for (std::size_t l = 0; l < hidden; ++l) {
+          const LayerSimResult& layer = run.layers[l];
+          const EnergyReport e = energy.report(layer.events);
+          LayerHardwareCost& c = expected[l];
+          c.mean_cycles += static_cast<double>(layer.total_cycles);
+          c.mean_v_cycles += static_cast<double>(layer.v_cycles);
+          c.mean_u_cycles += static_cast<double>(layer.u_cycles);
+          c.mean_w_cycles += static_cast<double>(layer.w_cycles);
+          c.mean_power_mw += e.avg_power_mw;
+          c.mean_energy_uj += e.total_uj;
+          c.mean_nnz_inputs += static_cast<double>(layer.nnz_inputs);
+          c.mean_active_rows += static_cast<double>(layer.active_rows);
+        }
+      }
+      const std::vector<LayerHardwareCost>& got = uv ? hw.uv_on : hw.uv_off;
+      ASSERT_EQ(got.size(), hidden);
+      const auto n = static_cast<double>(kSamples);
+      for (std::size_t l = 0; l < hidden; ++l) {
+        const LayerHardwareCost& c = expected[l];
+        const LayerHardwareCost& g = got[l];
+        const std::string where =
+            std::string(to_string(kind)) + (uv ? " uv_on" : " uv_off") +
+            " layer " + std::to_string(l);
+        EXPECT_EQ(g.mean_cycles, c.mean_cycles / n) << where;
+        EXPECT_EQ(g.mean_v_cycles, c.mean_v_cycles / n) << where;
+        EXPECT_EQ(g.mean_u_cycles, c.mean_u_cycles / n) << where;
+        EXPECT_EQ(g.mean_w_cycles, c.mean_w_cycles / n) << where;
+        EXPECT_EQ(g.mean_power_mw, c.mean_power_mw / n) << where;
+        EXPECT_EQ(g.mean_energy_uj, c.mean_energy_uj / n) << where;
+        EXPECT_EQ(g.mean_nnz_inputs, c.mean_nnz_inputs / n) << where;
+        EXPECT_EQ(g.mean_active_rows, c.mean_active_rows / n) << where;
+      }
+    }
+  }
 }
 
 TEST(System, AreaAndEnergyModelsExposed) {

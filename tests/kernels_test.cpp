@@ -62,7 +62,7 @@ TEST(KernelsTest, DispatchReportsAnIsaThisHostSupports) {
 TEST(KernelsTest, ForceScalarOverrideSwitchesEveryEntry) {
   force_scalar_kernels(true);
   EXPECT_EQ(active_simd_isa(), SimdIsa::kScalar);
-  EXPECT_EQ(kernels().dot_i16, scalar_kernels().dot_i16);
+  EXPECT_EQ(kernels().predict_bits_i16, scalar_kernels().predict_bits_i16);
   force_scalar_kernels(false);
   // With the override lifted (and no SPARSENN_FORCE_SCALAR in the
   // environment), dispatch returns to the detected best ISA.
@@ -73,93 +73,75 @@ TEST(KernelsTest, ForceScalarOverrideSwitchesEveryEntry) {
             env_forced ? SimdIsa::kScalar : detect_simd_isa());
 }
 
-TEST(KernelsTest, DotMatchesScalarAcrossWidthsAndAlignments) {
+/// Σ a[c]·b[c] by a plain loop — the oracle the predictor-bit tests
+/// below derive their thresholds from.
+std::int64_t reference_dot(const std::int16_t* a, const std::int16_t* b,
+                           std::size_t n) {
+  std::int64_t acc = 0;
+  for (std::size_t c = 0; c < n; ++c)
+    acc += std::int64_t{a[c]} * std::int64_t{b[c]};
+  return acc;
+}
+
+TEST(KernelsTest, PredictBitsPinsTheExactDotAcrossWidthsAndAlignments) {
+  // One row per call: with the threshold just below and exactly at the
+  // row's exact dot product, the bit flips 1 → 0, which pins the
+  // kernel's int64 sum to the oracle's value at every width and
+  // misalignment.
   std::mt19937 rng(101);
-  const auto& scalar = scalar_kernels();
   for (const KernelTable* t : available_tables()) {
     for (const std::size_t n : kWidths) {
       for (int rep = 0; rep < 8; ++rep) {
         // Misalign by a random element offset within a padded buffer.
         std::uniform_int_distribution<std::size_t> off(0, 3);
-        const std::size_t oa = off(rng), ob = off(rng);
-        const auto a = random_i16(rng, n + oa, 0.3);
-        const auto b = random_i16(rng, n + ob, 0.3);
-        EXPECT_EQ(t->dot_i16(a.data() + oa, b.data() + ob, n),
-                  scalar.dot_i16(a.data() + oa, b.data() + ob, n))
-            << to_string(t->isa) << " n=" << n;
+        const std::size_t ou = off(rng), os = off(rng);
+        const auto u = random_i16(rng, n + ou, 0.3);
+        const auto s = random_i16(rng, n + os, 0.3);
+        const std::int64_t dot =
+            reference_dot(u.data() + ou, s.data() + os, n);
+        std::uint8_t below = 7, at = 7;
+        t->predict_bits_i16(u.data() + ou, 1, n, s.data() + os, dot - 1,
+                            &below);
+        t->predict_bits_i16(u.data() + ou, 1, n, s.data() + os, dot, &at);
+        EXPECT_EQ(below, 1) << to_string(t->isa) << " n=" << n;
+        EXPECT_EQ(at, 0) << to_string(t->isa) << " n=" << n;
       }
     }
   }
 }
 
-TEST(KernelsTest, DotSaturationExtremesStayExact) {
+TEST(KernelsTest, PredictBitsSaturationExtremesStayExact) {
   // -32768 · -32768 accumulated 784 times: overflows i32 pairs (the
   // madd trap) but fits i64 exactly.
   const std::vector<std::int16_t> lo(784, -32768);
-  const std::int64_t expected = 784LL * (32768LL * 32768LL);
-  for (const KernelTable* t : available_tables())
-    EXPECT_EQ(t->dot_i16(lo.data(), lo.data(), lo.size()), expected)
-        << to_string(t->isa);
-}
-
-TEST(KernelsTest, GatherDotMatchesScalarIncludingLastIndex) {
-  std::mt19937 rng(202);
-  const auto& scalar = scalar_kernels();
+  const std::int64_t exact = 784LL * (32768LL * 32768LL);
   for (const KernelTable* t : available_tables()) {
-    for (const std::size_t n : kWidths) {
-      if (n == 0) continue;
-      for (int rep = 0; rep < 8; ++rep) {
-        const auto row = random_i16(rng, n, 0.0);
-        // Ascending indices; always include n-1 so the gather kernels'
-        // out-of-bounds guard (they read 32-bit lanes) is exercised.
-        std::vector<std::uint32_t> idx;
-        std::bernoulli_distribution keep(0.4);
-        for (std::size_t c = 0; c + 1 < n; ++c)
-          if (keep(rng)) idx.push_back(static_cast<std::uint32_t>(c));
-        idx.push_back(static_cast<std::uint32_t>(n - 1));
-        std::vector<std::int16_t> vals;
-        for (std::size_t i = 0; i < idx.size(); ++i)
-          vals.push_back(random_extreme_i16(rng));
-        EXPECT_EQ(t->dot_i16_gather(row.data(), n, idx.data(),
-                                    vals.data(), idx.size()),
-                  scalar.dot_i16_gather(row.data(), n, idx.data(),
-                                        vals.data(), idx.size()))
-            << to_string(t->isa) << " n=" << n;
-      }
-    }
+    std::uint8_t below = 7, at = 7;
+    t->predict_bits_i16(lo.data(), 1, lo.size(), lo.data(), exact - 1,
+                        &below);
+    t->predict_bits_i16(lo.data(), 1, lo.size(), lo.data(), exact, &at);
+    EXPECT_EQ(below, 1) << to_string(t->isa);
+    EXPECT_EQ(at, 0) << to_string(t->isa);
   }
 }
 
-TEST(KernelsTest, AxpyAndAxpy2MatchScalar) {
+TEST(KernelsTest, AxpyMatchesScalar) {
   std::mt19937 rng(303);
   const auto& scalar = scalar_kernels();
   for (const KernelTable* t : available_tables()) {
     for (const std::size_t n : kWidths) {
       for (int rep = 0; rep < 8; ++rep) {
-        const auto w0 = random_i16(rng, n, 0.2);
-        const auto w1 = random_i16(rng, n, 0.2);
-        // rep 0 pins the madd guard case: both scalars -32768.
-        const std::int16_t a0 =
-            rep == 0 ? std::int16_t{-32768} : random_extreme_i16(rng);
-        const std::int16_t a1 =
+        const auto w = random_i16(rng, n, 0.2);
+        const std::int16_t a =
             rep == 0 ? std::int16_t{-32768} : random_extreme_i16(rng);
         std::vector<std::int64_t> acc(n);
         std::uniform_int_distribution<std::int64_t> init(-1'000'000,
                                                          1'000'000);
         for (auto& v : acc) v = init(rng);
         std::vector<std::int64_t> expected = acc;
-
-        std::vector<std::int64_t> got = acc;
-        t->axpy_i16_i64(got.data(), w0.data(), a0, n);
-        scalar.axpy_i16_i64(expected.data(), w0.data(), a0, n);
-        EXPECT_EQ(got, expected) << to_string(t->isa) << " axpy n=" << n;
-
-        got = acc;
-        expected = acc;
-        t->axpy2_i16_i64(got.data(), w0.data(), a0, w1.data(), a1, n);
-        scalar.axpy2_i16_i64(expected.data(), w0.data(), a0, w1.data(),
-                             a1, n);
-        EXPECT_EQ(got, expected) << to_string(t->isa) << " axpy2 n=" << n;
+        t->axpy_i16_i64(acc.data(), w.data(), a, n);
+        scalar.axpy_i16_i64(expected.data(), w.data(), a, n);
+        EXPECT_EQ(acc, expected) << to_string(t->isa) << " n=" << n;
       }
     }
   }
@@ -184,6 +166,28 @@ TEST(KernelsTest, SparseMatvecMatchesScalar) {
         EXPECT_EQ(got, expected)
             << to_string(t->isa) << " m=" << m << " n=" << n;
       }
+    }
+  }
+}
+
+TEST(KernelsTest, SparseMatvecPairOfMinActivationsStaysExact) {
+  // The vector forms fuse adjacent nonzero inputs into one paired
+  // sweep; a madd-style pair sum overflows i32 exactly when both
+  // activations and both weights are -32768 (2 · 2^30 = 2^31). Two
+  // adjacent -32768 activations over all -32768 columns must still
+  // give 2^31 per output, at widths that reach every vector block and
+  // the ragged tail.
+  const std::vector<std::int16_t> act(2, -32768);
+  const std::vector<std::uint32_t> idx = {0, 1};
+  const std::int64_t pair_sum = std::int64_t{1} << 31;
+  for (const KernelTable* t : available_tables()) {
+    for (const std::size_t m : {1u, 16u, 33u, 256u}) {
+      const std::vector<std::int16_t> cols(2 * m, -32768);
+      std::vector<std::int64_t> acc(m, 5);
+      t->sparse_matvec_i16_i64(acc.data(), cols.data(), m, idx.data(),
+                               idx.size(), act.data());
+      EXPECT_EQ(acc, std::vector<std::int64_t>(m, 5 + pair_sum))
+          << to_string(t->isa) << " m=" << m;
     }
   }
 }

@@ -156,10 +156,11 @@ TEST(ModelZoo, PinnedImageSurvivesEvictionInFlight) {
   const std::shared_ptr<const CompiledNetwork> pinned = zoo.get(a, true);
   const SimResult before = sim.run(*pinned, input);
 
-  // Eviction (capacity 1) AND a full invalidate while the image is
-  // still held "in flight": the pin keeps it alive and bit-exact.
+  // Eviction (capacity 1) AND an invalidation of the evictor while the
+  // image is still held "in flight": the pin keeps it alive and
+  // bit-exact.
   (void)zoo.get(b, true);
-  zoo.invalidate();
+  EXPECT_EQ(zoo.invalidate(b.uid()), 1u);
   EXPECT_FALSE(zoo.contains(a, true));
   EXPECT_EQ(zoo.size(), 0u);
   EXPECT_EQ(sim.run(*pinned, input), before);
@@ -207,7 +208,7 @@ TEST(ModelZoo, TargetedInvalidateDropsOneNetwork) {
   EXPECT_EQ(zoo.size(), 1u);
   EXPECT_TRUE(zoo.contains(b, true));
 
-  zoo.invalidate();
+  EXPECT_EQ(zoo.invalidate(b.uid()), 1u);
   EXPECT_EQ(zoo.size(), 0u);
   EXPECT_FALSE(zoo.contains(b, true));
 }

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/sync.hpp"
 #include "serve/frontend.hpp"
 #include "serve/request_queue.hpp"
@@ -350,6 +351,41 @@ TEST(ServingFrontend, BatchSizeHistogramAccountsEveryBatch) {
   EXPECT_EQ(histogram_batches, stats.batches);
   EXPECT_EQ(histogram_requests, stats.completed);
   EXPECT_GT(stats.mean_batch_size(), 0.0);
+}
+
+TEST(ServingFrontend, MeanBatchSizeCountsOnlyWhatBatchesHeld) {
+  // Every second submit fails on the admission path (an armed
+  // serve.queue.push throw), so it resolves kEngineError without ever
+  // joining a micro-batch. The mean batch size must still be the
+  // histogram's mean, not (completed + failed) / batches.
+  const Fixture f = make_batch_fixture(16, /*seed=*/63);
+  ServingOptions options = serving_options(EngineKind::kAnalytic);
+  options.num_workers = 1;
+  options.max_wait_us = 10'000'000;  // batches close on size (4)
+  ServingFrontend frontend(options);
+  const std::size_t model = frontend.register_model(f.network, tiny_arch());
+  {
+    fault::ScopedFaultStorm storm(/*seed_value=*/29);
+    storm.add({.point = "serve.queue.push",
+               .action = fault::FaultAction::kThrow,
+               .every_n = 2});
+    std::vector<std::future<ServeResult>> futures;
+    for (std::size_t i = 0; i < f.data.size(); ++i)
+      futures.push_back(frontend.submit(model, f.data.image(i)));
+    for (auto& fut : futures) (void)fut.get();
+  }
+  frontend.shutdown();
+
+  const ServingStats stats = frontend.stats();
+  EXPECT_EQ(stats.failed, f.data.size() / 2);
+  EXPECT_EQ(stats.completed, f.data.size() / 2);
+  ASSERT_GT(stats.batches, 0u);
+  std::uint64_t histogram_requests = 0;
+  for (std::size_t n = 0; n < stats.batch_size_counts.size(); ++n)
+    histogram_requests += stats.batch_size_counts[n] * (n + 1);
+  EXPECT_EQ(stats.mean_batch_size(),
+            static_cast<double>(histogram_requests) /
+                static_cast<double>(stats.batches));
 }
 
 TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
