@@ -300,11 +300,11 @@ int main(int argc, char** argv) {
     // golden validation on every call.
     EngineStats cached_stats;
     {
-      ModelZoo zoo(arch);
+      ModelZoo zoo;
       const std::uint64_t allocs_before = g_allocs.load();
       const auto start = clock::now();
       for (std::size_t i = 0; i < samples; ++i) {
-        const SimResult r = sim.run(*zoo.get(quantized, use_predictor),
+        const SimResult r = sim.run(*zoo.get(arch, quantized, use_predictor),
                                     inputs[i], ValidationMode::kFull);
         cached_stats.cycles += r.total_cycles;
         identical = identical && r == reference[i];

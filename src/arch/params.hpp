@@ -86,8 +86,8 @@ struct ArchParams {
 
   /// A total encoding of every field, usable as a map key: two
   /// ArchParams produce the same key iff a compiled image / engine
-  /// built for one is valid for the other. core/zoo_registry.hpp keys
-  /// its zoo-of-zoos on this.
+  /// built for one is valid for the other. core/model_zoo.hpp keys
+  /// its compiled images on this.
   std::string cache_key() const;
 
   /// The paper's configuration (all defaults).

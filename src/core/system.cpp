@@ -138,7 +138,7 @@ void System::set_prediction_threshold(double threshold) {
   // The epoch bump above already marks this network's cached images
   // stale; drop them eagerly so a threshold sweep never holds dead
   // images across its K points.
-  zoos_.invalidate(quantized_->uid());
+  zoo_.invalidate(quantized_->uid());
 }
 
 AreaBreakdown System::area() const { return compute_area(options_.arch); }

@@ -19,7 +19,7 @@
 #include "arch/area.hpp"
 #include "arch/energy.hpp"
 #include "arch/params.hpp"
-#include "core/zoo_registry.hpp"
+#include "core/model_zoo.hpp"
 #include "data/dataset.hpp"
 #include "nn/quantized.hpp"
 #include "nn/trainer.hpp"
@@ -78,7 +78,7 @@ class System {
 
   /// One inference of one test sample on the configured backend
   /// (SystemOptions::engine). The network's per-PE slice image comes
-  /// from the system's ZooRegistry, so repeated calls (rank/threshold
+  /// from the system's ModelZoo, so repeated calls (rank/threshold
   /// sweeps, the fig benches) compile once per (epoch, uv mode)
   /// instead of once per call; on the cycle backend the golden-model
   /// cross-check stays on (single runs are the paper's verification
@@ -109,12 +109,12 @@ class System {
   /// so the next simulation recompiles against the new threshold.
   void set_prediction_threshold(double threshold);
 
-  /// Real compilations performed so far by the system's ZooRegistry —
+  /// Real compilations performed so far by the system's ModelZoo —
   /// observability for sweeps and tests (a threshold sweep of K points
   /// over both uv modes should compile at most 2·K images, not
   /// 2·K·samples).
   std::uint64_t compiled_network_compile_count() const {
-    return zoos_.compile_count();
+    return zoo_.compile_count();
   }
 
  private:
@@ -126,7 +126,7 @@ class System {
   /// options_.engine via make_engine).
   std::unique_ptr<ExecutionEngine> engine_;
   /// Compiled per-PE slice images shared by simulate(),
-  /// simulate_batch() and compare_hardware(). ZooRegistry is
+  /// simulate_batch() and compare_hardware(). ModelZoo is
   /// thread-safe, so concurrent const calls share the filled entry
   /// read-only; mutable because a fill is not an observable state
   /// change (results are bit-identical to an uncached compile —
@@ -135,10 +135,10 @@ class System {
   /// invalidation — only the source network itself (quantized_) must
   /// stay alive, which mutating calls (set_prediction_threshold,
   /// prepare) guarantee by not running concurrently with readers.
-  mutable ZooRegistry zoos_;
+  mutable ModelZoo zoo_;
 
   std::shared_ptr<const CompiledNetwork> compiled(bool use_predictor) const {
-    return zoos_.get(options_.arch, *quantized_, use_predictor);
+    return zoo_.get(options_.arch, *quantized_, use_predictor);
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -66,16 +67,16 @@ struct ServingFrontend::EngineSlot {
 
 ServingFrontend::ServingFrontend(ServingOptions options)
     : options_(options),
-      zoos_(options_.zoo_capacity_per_arch),
+      zoo_(options_.zoo_capacity_per_arch),
       queue_(RequestQueue<Pending>::Options{
           options_.queue_capacity, options_.max_queued_per_model,
           options_.max_batch,
           std::chrono::microseconds(options_.max_wait_us),
           options_.class_watermarks}),
       health_(options_.breaker, options_.brownout_window,
-              options_.breaker.window > 0 || options_.allow_degraded),
-      batch_size_counts_(options_.max_batch, 0) {
+              options_.breaker.window > 0 || options_.allow_degraded) {
   expects(options_.num_workers > 0, "need at least one serving worker");
+  counts_.batch_size_counts.assign(options_.max_batch, 0);
   expects(options_.brownout_queue_fraction > 0.0 &&
               options_.brownout_queue_fraction <= 1.0,
           "brownout_queue_fraction must be in (0, 1]");
@@ -167,7 +168,7 @@ std::future<ServeResult> ServingFrontend::resolve_now(std::size_t model,
   // Shedding (and admission-path failure) is a first-class response,
   // not an exception: the future resolves immediately so open-loop
   // clients account it as load turned away, with zero queue residence.
-  // submitted_ was already counted by submit() — only the outcome
+  // submit() already counted the submission — only the outcome
   // counters move here.
   std::promise<ServeResult> promise;
   ServeResult out;
@@ -180,12 +181,10 @@ std::future<ServeResult> ServingFrontend::resolve_now(std::size_t model,
   {
     const sync::MutexLock lock(stats_mutex_);
     if (status == ServeStatus::kEngineError) {
-      ++failed_;
-      ++failed_by_class_[class_index(priority)];
+      ++counts_.failed_by_class[class_index(priority)];
     } else {
-      ++shed_;
-      ++shed_by_class_[class_index(priority)];
-      if (status == ServeStatus::kShedCircuitOpen) ++circuit_shed_;
+      ++counts_.shed_by_class[class_index(priority)];
+      if (status == ServeStatus::kShedCircuitOpen) ++counts_.circuit_shed;
     }
   }
   return promise.get_future();
@@ -204,15 +203,14 @@ std::future<ServeResult> ServingFrontend::submit(
   }
   // Count the submission *before* the request can become visible to a
   // worker: once try_push succeeds a worker may complete (and count)
-  // the request immediately, and counting submitted_ afterwards let a
+  // the request immediately, and counting the submission afterwards let a
   // concurrent stats() observe completed + shed + failed > submitted —
   // the exact-accounting invariant broken mid-flight. Flushed out by
   // the PR-8 lock-annotation pass; tests/chaos_test.cpp samples the
   // invariant live under a storm.
   {
     const sync::MutexLock lock(stats_mutex_);
-    ++submitted_;
-    ++submitted_by_class_[class_index(priority)];
+    ++counts_.submitted_by_class[class_index(priority)];
   }
   if (reject_shut_down)
     return resolve_now(model, use_predictor, priority,
@@ -220,7 +218,7 @@ std::future<ServeResult> ServingFrontend::submit(
   std::future<ServeResult> future;
   PushOutcome outcome;
   try {
-    // Everything past the submitted_ count is inside the containment
+    // Everything past the submission count is inside the containment
     // block: a throw anywhere here (input-copy allocation, an armed
     // serve.queue.push or serve.breaker.probe fault ...) must resolve
     // the already-counted request, never leak the exception or leave
@@ -291,6 +289,7 @@ void ServingFrontend::worker_main(Worker& self) {
 void ServingFrontend::process_batch(
     RequestQueue<Pending>::Batch& batch,
     std::map<std::string, EngineSlot>& backends, Worker& self) {
+  using Clock = RequestQueue<Pending>::Clock;
   const std::size_t model_id = static_cast<std::size_t>(batch.lane >> 3);
   const auto priority = static_cast<Priority>((batch.lane >> 1) & 0x3u);
   const bool use_predictor = (batch.lane & 1) != 0;
@@ -302,53 +301,56 @@ void ServingFrontend::process_batch(
   double exec_us_sum = 0.0;
   std::uint64_t exec_samples = 0;
 
+  // The one result-finishing path: stamps request i's identity, batch
+  // and latency breakdown onto `out` (`done` = when its result became
+  // ready), counts its outcome and resolves its future. A deadline
+  // shed never executed, so it carries no exec_us. Any non-ok probe
+  // counts as failed (a shed probe proved nothing, so the breaker
+  // conservatively re-opens rather than closing on no evidence).
+  const auto finish = [&](std::size_t i, ServeResult& out,
+                          Clock::time_point done) {
+    Pending& pending = batch.items[i];
+    out.model = pending.model;
+    out.use_predictor = pending.use_predictor;
+    out.priority = pending.priority;
+    out.batch_size = n;
+    out.batch_close = batch.close;
+    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
+    if (out.status != ServeStatus::kDeadlineExceeded)
+      out.exec_us = micros(done - batch.closed_at);
+    out.total_us = micros(done - batch.enqueued[i]);
+    if (out.status == ServeStatus::kOk) {
+      ++ok;
+      if (out.degraded) ++degraded_ok;
+      if (pending.probe) ++probe_ok;
+    } else {
+      ++(out.status == ServeStatus::kDeadlineExceeded ? dead : failed);
+      if (pending.probe) ++probe_failed;
+    }
+    pending.promise.set_value(std::move(out));
+    resolved[i] = 1;
+  };
+
   // Failure containment: no exception may escape this function — a
   // batch-level failure resolves every not-yet-resolved request with
   // kEngineError and the worker lives on to serve the next batch.
   const auto fail_unresolved = [&](const std::string& what) {
     for (std::size_t i = 0; i < n; ++i) {
       if (resolved[i]) continue;
-      Pending& pending = batch.items[i];
       ServeResult out;
       out.status = ServeStatus::kEngineError;
-      out.model = pending.model;
-      out.use_predictor = pending.use_predictor;
-      out.priority = pending.priority;
       out.error = what;
-      out.batch_size = n;
-      out.batch_close = batch.close;
-      const auto done = RequestQueue<Pending>::Clock::now();
-      out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-      out.exec_us = micros(done - batch.closed_at);
-      out.total_us = micros(done - batch.enqueued[i]);
-      if (pending.probe) ++probe_failed;
-      pending.promise.set_value(std::move(out));
-      resolved[i] = 1;
-      ++failed;
+      finish(i, out, Clock::now());
     }
   };
 
   // Deadline shed: resolves request i as kDeadlineExceeded before any
   // (further) compile or engine time is spent on it. Used at claim
-  // time and again before each retry-backoff sleep. A shed probe
-  // proved nothing, so it counts as a failed probe (conservative:
-  // the breaker re-opens rather than closing on no evidence).
+  // time and again before each retry-backoff sleep.
   const auto shed_deadline = [&](std::size_t i) {
-    Pending& pending = batch.items[i];
     ServeResult out;
     out.status = ServeStatus::kDeadlineExceeded;
-    out.model = pending.model;
-    out.use_predictor = pending.use_predictor;
-    out.priority = pending.priority;
-    out.batch_size = n;
-    out.batch_close = batch.close;
-    const auto now = RequestQueue<Pending>::Clock::now();
-    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-    out.total_us = micros(now - batch.enqueued[i]);
-    if (pending.probe) ++probe_failed;
-    pending.promise.set_value(std::move(out));
-    resolved[i] = 1;
-    ++dead;
+    finish(i, out, Clock::now());
   };
 
   try {
@@ -362,7 +364,7 @@ void ServingFrontend::process_batch(
       entry = models_[model_id];
     }
 
-    const auto claim_time = RequestQueue<Pending>::Clock::now();
+    const auto claim_time = Clock::now();
     for (std::size_t i = 0; i < n; ++i) {
       if (batch.deadlines[i] >= claim_time) continue;
       shed_deadline(i);
@@ -370,14 +372,14 @@ void ServingFrontend::process_batch(
 
     if (dead < n) {
       // Resolve the compiled image, retrying transient failures with
-      // exponential backoff. The zoo-of-zoos pins the image for the
-      // whole batch: a concurrent eviction (another worker compiling
-      // a colder model) cannot free it mid-inference.
+      // exponential backoff. The zoo pins the image for the whole
+      // batch: a concurrent eviction (another worker compiling a
+      // colder model) cannot free it mid-inference.
       std::shared_ptr<const CompiledNetwork> image;
       std::uint64_t backoff_us = options_.retry_backoff_us;
       for (std::uint32_t attempt = 0;; ++attempt) {
         try {
-          image = zoos_.get(entry.arch, *entry.network, use_predictor);
+          image = zoo_.get(entry.arch, *entry.network, use_predictor);
           break;
         } catch (const std::exception&) {
           if (attempt >= options_.max_retries) throw;
@@ -386,8 +388,8 @@ void ServingFrontend::process_batch(
           // upcoming backoff sleep is already lost: shed it as
           // kDeadlineExceeded *now* instead of sleeping through its
           // deadline and then failing it after the final attempt.
-          const auto wake = RequestQueue<Pending>::Clock::now() +
-                            std::chrono::microseconds(backoff_us);
+          const auto wake =
+              Clock::now() + std::chrono::microseconds(backoff_us);
           for (std::size_t i = 0; i < n; ++i) {
             if (resolved[i] || batch.deadlines[i] >= wake) continue;
             shed_deadline(i);
@@ -431,9 +433,6 @@ void ServingFrontend::process_batch(
           (void)fault::point("serve.worker.hang");
           Pending& pending = batch.items[i];
           ServeResult out;
-          out.model = pending.model;
-          out.use_predictor = pending.use_predictor;
-          out.priority = pending.priority;
           // Degrade to the analytic fallback when the frontend is in
           // brownout, or when this request's remaining deadline budget
           // is provably below the model's observed cycle-path latency
@@ -443,8 +442,7 @@ void ServingFrontend::process_batch(
               batch.deadlines[i] != RequestQueue<Pending>::kNoDeadline &&
               est_exec_us > 0.0) {
             const double budget_us =
-                micros(batch.deadlines[i] -
-                       RequestQueue<Pending>::Clock::now());
+                micros(batch.deadlines[i] - Clock::now());
             degrade = budget_us < est_exec_us;
           }
           ExecutionEngine* engine = backend.engine.get();
@@ -454,7 +452,7 @@ void ServingFrontend::process_batch(
                   make_engine(EngineKind::kAnalytic, entry.arch);
             engine = backend.fallback.get();
           }
-          const auto run_begin = RequestQueue<Pending>::Clock::now();
+          const auto run_begin = Clock::now();
           try {
             // Chaos hook on the fallback boundary: a throw here is
             // per-request contained like any engine failure.
@@ -477,29 +475,16 @@ void ServingFrontend::process_batch(
             fault::corrupt_i16(out.result.output);
             out.fault_corrupted = true;
           }
-          const auto done = RequestQueue<Pending>::Clock::now();
+          const auto done = Clock::now();
           out.degraded = degrade && out.status == ServeStatus::kOk;
-          out.batch_size = n;
-          out.batch_close = batch.close;
-          out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
-          out.exec_us = micros(done - batch.closed_at);
-          out.total_us = micros(done - batch.enqueued[i]);
-          if (out.status == ServeStatus::kOk) {
-            ++ok;
-            if (out.degraded) ++degraded_ok;
-            if (pending.probe) ++probe_ok;
-            if (!degrade && health_.enabled()) {
-              // Primary-path latency sample for the degraded-mode
-              // budget estimate (fallback runs excluded on purpose).
-              exec_us_sum += micros(done - run_begin);
-              ++exec_samples;
-            }
-          } else {
-            ++failed;
-            if (pending.probe) ++probe_failed;
+          if (out.status == ServeStatus::kOk && !degrade &&
+              health_.enabled()) {
+            // Primary-path latency sample for the degraded-mode
+            // budget estimate (fallback runs excluded on purpose).
+            exec_us_sum += micros(done - run_begin);
+            ++exec_samples;
           }
-          pending.promise.set_value(std::move(out));
-          resolved[i] = 1;
+          finish(i, out, done);
         }
       }
     }
@@ -511,21 +496,18 @@ void ServingFrontend::process_batch(
 
   {
     const sync::MutexLock lock(stats_mutex_);
-    completed_ += ok;
-    failed_ += failed;
-    shed_ += dead;
-    deadline_shed_ += dead;
-    degraded_completed_ += degraded_ok;
-    completed_by_class_[cls] += ok;
-    failed_by_class_[cls] += failed;
-    shed_by_class_[cls] += dead;
-    retries_ += retries_used;
-    const std::size_t bucket = std::min(n, batch_size_counts_.size()) - 1;
-    ++batch_size_counts_[bucket];
+    counts_.completed_by_class[cls] += ok;
+    counts_.failed_by_class[cls] += failed;
+    counts_.shed_by_class[cls] += dead;
+    counts_.deadline_shed += dead;
+    counts_.degraded_completed += degraded_ok;
+    counts_.retries += retries_used;
+    std::vector<std::uint64_t>& sizes = counts_.batch_size_counts;
+    ++sizes[std::min(n, sizes.size()) - 1];
     switch (batch.close) {
-      case BatchClose::kSize: ++size_closes_; break;
-      case BatchClose::kTimeout: ++timeout_closes_; break;
-      case BatchClose::kDrain: ++drain_closes_; break;
+      case BatchClose::kSize: ++counts_.size_closes; break;
+      case BatchClose::kTimeout: ++counts_.timeout_closes; break;
+      case BatchClose::kDrain: ++counts_.drain_closes; break;
     }
   }
 
@@ -572,7 +554,7 @@ void ServingFrontend::watchdog_main() {
     }
     if (lost_now > 0) {
       const sync::MutexLock stats_lock(stats_mutex_);
-      workers_restarted_ += lost_now;
+      counts_.workers_restarted += lost_now;
     }
   }
 }
@@ -581,27 +563,18 @@ ServingStats ServingFrontend::stats() const {
   ServingStats out;
   {
     const sync::MutexLock lock(stats_mutex_);
-    out.submitted = submitted_;
-    out.completed = completed_;
-    out.shed = shed_;
-    out.failed = failed_;
-    out.deadline_shed = deadline_shed_;
-    out.circuit_shed = circuit_shed_;
-    out.degraded_completed = degraded_completed_;
-    out.submitted_by_class = submitted_by_class_;
-    out.completed_by_class = completed_by_class_;
-    out.shed_by_class = shed_by_class_;
-    out.failed_by_class = failed_by_class_;
-    out.retries = retries_;
-    out.workers_restarted = workers_restarted_;
-    out.size_closes = size_closes_;
-    out.timeout_closes = timeout_closes_;
-    out.drain_closes = drain_closes_;
-    out.batch_size_counts = batch_size_counts_;
+    out = counts_;
   }
-  out.batches = queue_.batches();
-  out.zoo_compiles = zoos_.compile_count();
-  out.zoo_hits = zoos_.hit_count();
+  const auto total = [](const auto& by_class) {
+    return std::accumulate(by_class.begin(), by_class.end(), std::uint64_t{0});
+  };
+  out.submitted = total(out.submitted_by_class);
+  out.completed = total(out.completed_by_class);
+  out.shed = total(out.shed_by_class);
+  out.failed = total(out.failed_by_class);
+  out.batches = out.size_closes + out.timeout_closes + out.drain_closes;
+  out.zoo_compiles = zoo_.compile_count();
+  out.zoo_hits = zoo_.hit_count();
   out.breaker_opens = health_.opens();
   out.breaker_probes = health_.probes();
   out.breaker_closes = health_.closes();

@@ -3,20 +3,19 @@
 //
 //   clients ──submit()──▶ RequestQueue ──micro-batches──▶ workers
 //                (bounded MPMC,           (per-worker engines,
-//                 per-model lanes,         arch-keyed zoo-of-zoos,
+//                 per-model lanes,         arch-keyed image zoo,
 //                 admission/shedding,      zero-alloc arena path,
 //                 per-request deadlines)   failure containment)
 //                                              │
 //   clients ◀──std::future<ServeResult>────────┘        watchdog ↺
 //
-// Every entry point before this PR was a synchronous batch sweep over
-// a dataset; the frontend turns the ModelZoo/engine/arena machinery
-// into a traffic endpoint. submit() copies the input, stamps it,
+// The frontend turns the ModelZoo/engine/arena machinery into a
+// traffic endpoint. submit() copies the input, stamps it,
 // and pushes it into a bounded MPMC queue (serve/request_queue.hpp)
 // keyed by (model, uv) lane; worker threads close dynamic
 // micro-batches under a latency budget (max_batch or max_wait_us,
-// whichever first), resolve the compiled image through an arch-keyed
-// ZooRegistry — so one process serves models deployed against mixed
+// whichever first), resolve the compiled image through the arch-keyed
+// ModelZoo — so one process serves models deployed against mixed
 // ArchParams configs — and run each request on the worker's private
 // ExecutionEngine through the zero-alloc ResultArena path. The
 // SimResult plus queueing/batching/execution timestamps come back
@@ -109,7 +108,7 @@
 #include "arch/params.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
-#include "core/zoo_registry.hpp"
+#include "core/model_zoo.hpp"
 #include "nn/quantized.hpp"
 #include "serve/health.hpp"
 #include "serve/request_queue.hpp"
@@ -129,7 +128,7 @@ struct ServingOptions {
   std::size_t max_queued_per_model = 256;
   /// Backend each worker instantiates per arch config.
   EngineKind engine = EngineKind::kAnalytic;
-  /// Compiled-image LRU capacity of each per-arch zoo.
+  /// Compiled-image LRU capacity per arch config (ModelZoo).
   std::size_t zoo_capacity_per_arch = ModelZoo::kDefaultCapacity;
   /// Bounded retry for transient compile-image failures: attempts
   /// beyond the first, with exponential backoff starting at
@@ -214,7 +213,9 @@ struct ServeResult {
   double total_us = 0.0;  ///< enqueue → this result ready
 };
 
-/// Aggregate frontend counters (single consistent snapshot).
+/// Aggregate frontend counters (single consistent snapshot). The four
+/// totals are the sums of the per-class arrays and `batches` is the sum
+/// of the three close counters, so every snapshot agrees with itself.
 struct ServingStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -276,7 +277,7 @@ class ServingFrontend {
 
   /// Registers a deployable model under its own ArchParams (mixed
   /// configs are served side by side through the arch-keyed
-  /// zoo-of-zoos). The network must outlive the frontend and must not
+  /// ModelZoo). The network must outlive the frontend and must not
   /// mutate while registered. Returns the handle submit() takes.
   std::size_t register_model(const QuantizedNetwork& network,
                              const ArchParams& arch);
@@ -349,8 +350,8 @@ class ServingFrontend {
   /// Appends and starts a worker.
   void spawn_worker_locked() SPARSENN_REQUIRES(workers_mutex_);
   /// Resolves a future immediately (shed / admission failure). The
-  /// caller has already counted the request into submitted_; this only
-  /// bumps the outcome counters (shed_ or failed_, plus per-class).
+  /// caller has already counted the submission; this only counts the
+  /// outcome (shed or failed, per class).
   std::future<ServeResult> resolve_now(std::size_t model,
                                        bool use_predictor,
                                        Priority priority,
@@ -366,7 +367,7 @@ class ServingFrontend {
   //   lock-ordering capability — so keep this comment honest.
 
   ServingOptions options_;
-  ZooRegistry zoos_;
+  ModelZoo zoo_;
   RequestQueue<Pending> queue_;
   ModelHealth health_;
   /// Brownout queue-depth trigger, precomputed from
@@ -377,28 +378,11 @@ class ServingFrontend {
   std::vector<ModelEntry> models_ SPARSENN_GUARDED_BY(models_mutex_);
 
   mutable sync::Mutex stats_mutex_;
-  std::uint64_t submitted_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t completed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t failed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t deadline_shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t circuit_shed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t degraded_completed_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::array<std::uint64_t, kNumPriorityClasses> submitted_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> completed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> shed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::array<std::uint64_t, kNumPriorityClasses> failed_by_class_
-      SPARSENN_GUARDED_BY(stats_mutex_){};
-  std::uint64_t retries_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t workers_restarted_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t size_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t timeout_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t drain_closes_ SPARSENN_GUARDED_BY(stats_mutex_) = 0;
-  std::vector<std::uint64_t> batch_size_counts_
-      SPARSENN_GUARDED_BY(stats_mutex_);
+  /// Every counter the frontend owns, stored once. The four totals,
+  /// `batches` and the zoo/breaker fields stay 0 here: stats() derives
+  /// them from the per-class arrays and close counters, and reads the
+  /// zoo and breaker counters live.
+  ServingStats counts_ SPARSENN_GUARDED_BY(stats_mutex_);
 
   mutable sync::Mutex workers_mutex_;
   std::vector<std::unique_ptr<Worker>> workers_

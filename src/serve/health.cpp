@@ -35,7 +35,7 @@ const char* to_string(BreakerState state) noexcept {
 
 ModelHealth::ModelHealth(const BreakerOptions& breaker,
                          std::size_t pressure_window, bool track)
-    : breaker_(breaker), pressure_window_(pressure_window), tracking_(track) {
+    : breaker_(breaker), tracking_(track), pressure_(pressure_window) {
   if (breaker_.window > 0) {
     expects(breaker_.min_samples > 0, "breaker min_samples must be >= 1");
     expects(breaker_.failure_threshold > 0.0 &&
@@ -47,39 +47,27 @@ ModelHealth::ModelHealth(const BreakerOptions& breaker,
   }
 }
 
+void ModelHealth::Window::push(bool hit) {
+  if (slots_.empty()) return;
+  // Evict the slot being overwritten from the running hit count.
+  if (filled_ == slots_.size() && slots_[next_]) --hits_;
+  slots_[next_] = hit;
+  next_ = (next_ + 1) % slots_.size();
+  if (filled_ < slots_.size()) ++filled_;
+  if (hit) ++hits_;
+}
+
+void ModelHealth::Window::clear() {
+  slots_.assign(slots_.size(), false);
+  next_ = 0;
+  filled_ = 0;
+  hits_ = 0;
+}
+
 ModelHealth::Model& ModelHealth::model_slot(std::size_t model) {
-  if (model >= models_.size()) models_.resize(model + 1);
-  Model& m = models_[model];
-  if (breaker_.window > 0 && m.ring.empty()) m.ring.resize(breaker_.window, 0);
-  return m;
-}
-
-void ModelHealth::push_outcome(Model& m, Outcome outcome) {
-  if (m.ring.empty()) return;
-  // Evict the slot being overwritten from the running failure count.
-  if (m.ring_filled == m.ring.size() &&
-      m.ring[m.ring_next] == static_cast<std::uint8_t>(Outcome::kFailure)) {
-    --m.window_failures;
-  }
-  m.ring[m.ring_next] = static_cast<std::uint8_t>(outcome);
-  m.ring_next = (m.ring_next + 1) % m.ring.size();
-  if (m.ring_filled < m.ring.size()) ++m.ring_filled;
-  if (outcome == Outcome::kFailure) ++m.window_failures;
-}
-
-void ModelHealth::push_pressure(bool deadline_shed) {
-  if (pressure_ring_.empty()) {
-    if (pressure_window_ == 0) return;
-    pressure_ring_.resize(pressure_window_, 0);
-  }
-  if (pressure_filled_ == pressure_ring_.size() &&
-      pressure_ring_[pressure_next_] != 0) {
-    --pressure_deadline_;
-  }
-  pressure_ring_[pressure_next_] = deadline_shed ? 1 : 0;
-  pressure_next_ = (pressure_next_ + 1) % pressure_ring_.size();
-  if (pressure_filled_ < pressure_ring_.size()) ++pressure_filled_;
-  if (deadline_shed) ++pressure_deadline_;
+  if (model >= models_.size())
+    models_.resize(model + 1, Model{.failures = Window(breaker_.window)});
+  return models_[model];
 }
 
 void ModelHealth::transition(std::size_t model, Model& m, BreakerState to) {
@@ -148,23 +136,21 @@ void ModelHealth::record(std::size_t model, const BatchOutcome& outcome) {
   }
 
   for (std::uint64_t i = 0; i < outcome.ok + outcome.failed; ++i)
-    push_pressure(false);
+    pressure_.push(false);
   for (std::uint64_t i = 0; i < outcome.deadline_shed; ++i)
-    push_pressure(true);
+    pressure_.push(true);
 
   if (!breakers_enabled()) return;
   switch (m.state) {
     case BreakerState::kClosed: {
-      for (std::uint64_t i = 0; i < outcome.ok; ++i)
-        push_outcome(m, Outcome::kOk);
-      for (std::uint64_t i = 0; i < outcome.failed; ++i)
-        push_outcome(m, Outcome::kFailure);
+      for (std::uint64_t i = 0; i < outcome.ok; ++i) m.failures.push(false);
+      for (std::uint64_t i = 0; i < outcome.failed; ++i) m.failures.push(true);
       for (std::uint64_t i = 0; i < outcome.deadline_shed; ++i)
-        push_outcome(m, Outcome::kDeadline);
-      if (m.ring_filled >= breaker_.min_samples &&
-          static_cast<double>(m.window_failures) >=
+        m.failures.push(false);
+      if (m.failures.filled() >= breaker_.min_samples &&
+          static_cast<double>(m.failures.hits()) >=
               breaker_.failure_threshold *
-                  static_cast<double>(m.ring_filled)) {
+                  static_cast<double>(m.failures.filled())) {
         transition(model, m, BreakerState::kOpen);
         m.open_sheds_left = breaker_.open_sheds;
       }
@@ -183,10 +169,7 @@ void ModelHealth::record(std::size_t model, const BatchOutcome& outcome) {
           transition(model, m, BreakerState::kClosed);
           // Clean slate: the failures that opened the breaker must not
           // re-open it on the next recorded outcome.
-          m.ring.assign(m.ring.size(), 0);
-          m.ring_next = 0;
-          m.ring_filled = 0;
-          m.window_failures = 0;
+          m.failures.clear();
         }
       }
       break;
@@ -209,7 +192,7 @@ double ModelHealth::estimated_exec_us(std::size_t model) const {
 
 std::uint64_t ModelHealth::recent_deadline_sheds() const {
   const sync::MutexLock lock(mutex_);
-  return pressure_deadline_;
+  return pressure_.hits();
 }
 
 std::uint64_t ModelHealth::opens() const {

@@ -125,7 +125,7 @@ class ModelHealth {
     std::uint64_t exec_samples = 0;
   };
 
-  /// `pressure_window`: size of the global outcome ring behind
+  /// `pressure_window`: size of the global outcome window behind
   /// recent_deadline_sheds() (the brownout signal). `track` gates all
   /// bookkeeping: false makes every method a no-op (the disarmed-cost
   /// path for frontends with breakers and degraded mode both off).
@@ -164,15 +164,26 @@ class ModelHealth {
   bool enabled() const noexcept { return tracking_; }
 
  private:
-  /// Window entry kinds (ring stores them as bytes).
-  enum class Outcome : std::uint8_t { kOk, kFailure, kDeadline };
+  /// Sliding window over the last `size` boolean outcomes with a
+  /// running count of the true ones. A zero-size window ignores pushes.
+  class Window {
+   public:
+    explicit Window(std::size_t size = 0) : slots_(size, false) {}
+    void push(bool hit);
+    void clear();
+    std::size_t filled() const noexcept { return filled_; }
+    std::uint64_t hits() const noexcept { return hits_; }
+
+   private:
+    std::vector<bool> slots_;
+    std::size_t next_ = 0;
+    std::size_t filled_ = 0;
+    std::uint64_t hits_ = 0;
+  };
 
   struct Model {
     BreakerState state = BreakerState::kClosed;
-    std::vector<std::uint8_t> ring;  ///< last `window` outcomes
-    std::size_t ring_next = 0;
-    std::size_t ring_filled = 0;
-    std::uint64_t window_failures = 0;
+    Window failures;  ///< last `window` outcomes; hit = engine failure
     std::uint64_t open_sheds_left = 0;
     std::uint64_t half_open_seen = 0;  ///< submissions since half-open
     std::uint64_t probe_streak = 0;    ///< consecutive ok probes
@@ -181,21 +192,17 @@ class ModelHealth {
   };
 
   Model& model_slot(std::size_t model) SPARSENN_REQUIRES(mutex_);
-  void push_outcome(Model& m, Outcome outcome) SPARSENN_REQUIRES(mutex_);
-  void push_pressure(bool deadline_shed) SPARSENN_REQUIRES(mutex_);
   void transition(std::size_t model, Model& m, BreakerState to)
       SPARSENN_REQUIRES(mutex_);
 
-  const BreakerOptions breaker_;       ///< immutable — no guard
-  const std::size_t pressure_window_;  ///< immutable — no guard
-  const bool tracking_;                ///< immutable — no guard
+  const BreakerOptions breaker_;  ///< immutable — no guard
+  const bool tracking_;           ///< immutable — no guard
 
   mutable sync::Mutex mutex_;
   std::vector<Model> models_ SPARSENN_GUARDED_BY(mutex_);
-  std::vector<std::uint8_t> pressure_ring_ SPARSENN_GUARDED_BY(mutex_);
-  std::size_t pressure_next_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::size_t pressure_filled_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t pressure_deadline_ SPARSENN_GUARDED_BY(mutex_) = 0;
+  /// Last `pressure_window` outcomes across all models; hit = deadline
+  /// shed (the brownout input).
+  Window pressure_ SPARSENN_GUARDED_BY(mutex_);
   std::uint64_t opens_ SPARSENN_GUARDED_BY(mutex_) = 0;
   std::uint64_t probes_ SPARSENN_GUARDED_BY(mutex_) = 0;
   std::uint64_t closes_ SPARSENN_GUARDED_BY(mutex_) = 0;

@@ -179,20 +179,15 @@ class RequestQueue {
     {
       const sync::MutexLock lock(mutex_);
       if (closed_) return PushOutcome::kClosed;
-      if (total_ >= global_limits_[class_index(priority)]) {
-        ++shed_queue_full_;
+      if (total_ >= global_limits_[class_index(priority)])
         return PushOutcome::kShedQueueFull;
-      }
       Lane& lane = lanes_[lane_id];
-      if (lane.slots.size() >= lane_limits_[class_index(priority)]) {
-        ++shed_lane_full_;
+      if (lane.slots.size() >= lane_limits_[class_index(priority)])
         return PushOutcome::kShedLaneFull;
-      }
       lane.priority = priority;
       lane.slots.push_back(
           Slot{std::move(item), Clock::now(), deadline, seq_++});
       ++total_;
-      ++accepted_;
     }
     // All consumers wake: one to claim the lane if idle, and a
     // consumer already waiting on this lane's deadline to re-check
@@ -279,7 +274,6 @@ class RequestQueue {
       }
       total_ -= take;
       lane->in_service = false;
-      ++batches_;
       // Wake the others when leftovers form a claimable batch, and
       // always during shutdown — a consumer may be blocked waiting
       // for this (possibly last) in-service lane to resolve before it
@@ -304,30 +298,6 @@ class RequestQueue {
   std::size_t size() const SPARSENN_EXCLUDES(mutex_) {
     const sync::MutexLock lock(mutex_);
     return total_;
-  }
-  std::size_t lane_depth(std::uint64_t lane_id) const
-      SPARSENN_EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    const auto it = lanes_.find(lane_id);
-    return it == lanes_.end() ? 0 : it->second.slots.size();
-  }
-
-  // Admission counters (monotone; read for shed-rate reporting).
-  std::uint64_t accepted() const SPARSENN_EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    return accepted_;
-  }
-  std::uint64_t shed_queue_full() const SPARSENN_EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    return shed_queue_full_;
-  }
-  std::uint64_t shed_lane_full() const SPARSENN_EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    return shed_lane_full_;
-  }
-  std::uint64_t batches() const SPARSENN_EXCLUDES(mutex_) {
-    const sync::MutexLock lock(mutex_);
-    return batches_;
   }
 
  private:
@@ -361,10 +331,6 @@ class RequestQueue {
   std::size_t total_ SPARSENN_GUARDED_BY(mutex_) = 0;
   std::uint64_t seq_ SPARSENN_GUARDED_BY(mutex_) = 0;
   bool closed_ SPARSENN_GUARDED_BY(mutex_) = false;
-  std::uint64_t accepted_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t shed_queue_full_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t shed_lane_full_ SPARSENN_GUARDED_BY(mutex_) = 0;
-  std::uint64_t batches_ SPARSENN_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace sparsenn

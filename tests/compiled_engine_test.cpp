@@ -255,30 +255,33 @@ TEST(CompiledEngine, EpochIsMonotone) {
 TEST(ModelZooCache, ReusesImagesUntilEpochMoves) {
   Rng rng{27};
   QuantizedNetwork q = seeded_network(rng);
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   EXPECT_EQ(cache.compile_count(), 0u);
 
-  const std::shared_ptr<const CompiledNetwork> on = cache.get(q, true);
-  const std::shared_ptr<const CompiledNetwork> off = cache.get(q, false);
+  const std::shared_ptr<const CompiledNetwork> on =
+      cache.get(tiny_arch(), q, true);
+  const std::shared_ptr<const CompiledNetwork> off =
+      cache.get(tiny_arch(), q, false);
   EXPECT_EQ(cache.compile_count(), 2u);
   EXPECT_TRUE(on->use_predictor());
   EXPECT_FALSE(off->use_predictor());
 
   // Hits: same network, same epoch, same uv mode → the same image.
-  EXPECT_EQ(cache.get(q, true), on);
-  EXPECT_EQ(cache.get(q, false), off);
+  EXPECT_EQ(cache.get(tiny_arch(), q, true), on);
+  EXPECT_EQ(cache.get(tiny_arch(), q, false), off);
   EXPECT_EQ(cache.compile_count(), 2u);
 
   // A mutation moves the epoch; the next get() recompiles, and the
   // fresh image carries the new threshold (never a stale snapshot).
   q.set_prediction_threshold(0.25);
-  const std::shared_ptr<const CompiledNetwork> on2 = cache.get(q, true);
+  const std::shared_ptr<const CompiledNetwork> on2 =
+      cache.get(tiny_arch(), q, true);
   EXPECT_EQ(cache.compile_count(), 3u);
   EXPECT_FALSE(on2->stale());
   EXPECT_EQ(on2->source_epoch(), q.epoch());
 
   cache.invalidate(q.uid());
-  (void)cache.get(q, true);
+  (void)cache.get(tiny_arch(), q, true);
   EXPECT_EQ(cache.compile_count(), 4u);
 }
 
@@ -289,14 +292,14 @@ TEST(ModelZooCache, AddressReuseNeverServesTheOldNetworksImage) {
   // key of (address, epoch) would serve the OLD network's weights; the
   // (uid, epoch) key must recompile.
   Rng rng{35};
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   std::optional<QuantizedNetwork> slot(seeded_network(rng));
-  (void)cache.get(*slot, true);
+  (void)cache.get(tiny_arch(), *slot, true);
   EXPECT_EQ(cache.compile_count(), 1u);
 
   slot.emplace(seeded_network(rng));  // same address, different weights
   const std::shared_ptr<const CompiledNetwork> recompiled =
-      cache.get(*slot, true);
+      cache.get(tiny_arch(), *slot, true);
   EXPECT_EQ(cache.compile_count(), 2u);
   EXPECT_TRUE(recompiled->compiled_from(*slot));
   EXPECT_FALSE(recompiled->stale());
@@ -324,12 +327,12 @@ TEST(CompiledEngine, UidIsFreshAcrossCopiesAndAssignment) {
 
 TEST(ModelZooCache, CachedRunsBitIdenticalToUncached) {
   const Fixture f = make_batch_fixture(5, /*seed=*/51);
-  ModelZoo cache(tiny_arch());
+  ModelZoo cache;
   AcceleratorSim sim(tiny_arch());
   for (const bool uv_on : {true, false}) {
     for (std::size_t i = 0; i < f.data.size(); ++i) {
       const SimResult cached =
-          sim.run(*cache.get(f.network, uv_on), f.data.image(i));
+          sim.run(*cache.get(tiny_arch(), f.network, uv_on), f.data.image(i));
       EXPECT_EQ(cached, fresh_run(f.network, f.data.image(i), uv_on))
           << "input " << i << " uv " << uv_on;
     }

@@ -143,8 +143,6 @@ TEST(PriorityQueue, GlobalWatermarksShedLowerClassesFirst) {
             PushOutcome::kShedQueueFull);
 
   EXPECT_EQ(q.size(), 10u);
-  EXPECT_EQ(q.accepted(), 10u);
-  EXPECT_EQ(q.shed_queue_full(), 3u);
   q.shutdown();
   while (q.next_batch().has_value()) {
   }
@@ -174,7 +172,6 @@ TEST(PriorityQueue, LaneWatermarksBoundPerLaneDepthPerClass) {
   EXPECT_EQ(q.try_push(1, 99, kNoDeadline, Priority::kHigh),
             PushOutcome::kShedLaneFull);
 
-  EXPECT_EQ(q.shed_lane_full(), 3u);
   q.shutdown();
   while (q.next_batch().has_value()) {
   }

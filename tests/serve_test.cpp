@@ -108,10 +108,13 @@ TEST(RequestQueue, ShedsOnGlobalAndPerLaneBounds) {
   EXPECT_EQ(q.try_push(1, 3), PushOutcome::kAccepted);
   // Global capacity reached: every lane sheds, even fresh ones.
   EXPECT_EQ(q.try_push(2, 4), PushOutcome::kShedQueueFull);
-  EXPECT_EQ(q.accepted(), 3u);
-  EXPECT_EQ(q.shed_lane_full(), 1u);
-  EXPECT_EQ(q.shed_queue_full(), 1u);
-  EXPECT_EQ(q.lane_depth(0), 2u);
+  EXPECT_EQ(q.size(), 3u);
+  q.shutdown();
+  while (const auto batch = q.next_batch()) {
+    if (batch->lane == 0) {
+      EXPECT_EQ(batch->items.size(), 2u);
+    }
+  }
 }
 
 TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
@@ -386,6 +389,43 @@ TEST(ServingFrontend, MeanBatchSizeCountsOnlyWhatBatchesHeld) {
   EXPECT_EQ(stats.mean_batch_size(),
             static_cast<double>(histogram_requests) /
                 static_cast<double>(stats.batches));
+}
+
+TEST(ServingFrontend, BatchCountersAgreeInEveryLiveSnapshot) {
+  // Regression: `batches` used to come from the queue, which counts a
+  // batch when a worker claims it, while the histogram and the close
+  // counters move only after the batch resolves. A snapshot taken
+  // while a batch was in flight disagreed with itself (and
+  // mean_batch_size() read 0). A 200 ms stall at batch entry holds the
+  // one batch in flight while stats() is polled.
+  const Fixture f = make_batch_fixture(1, /*seed=*/67);
+  ServingOptions options = serving_options(EngineKind::kAnalytic);
+  options.num_workers = 1;
+  ServingFrontend frontend(options);
+  const std::size_t model = frontend.register_model(f.network, tiny_arch());
+
+  fault::ScopedFaultStorm storm(/*seed_value=*/37);
+  storm.add({.point = "serve.worker.batch",
+             .action = fault::FaultAction::kDelay, .one_shot = true,
+             .delay_us = 200'000});
+  std::future<ServeResult> future = frontend.submit(model, f.data.image(0));
+  std::size_t snapshots = 0;
+  for (;;) {
+    const bool resolved =
+        future.wait_for(std::chrono::milliseconds(1)) ==
+        std::future_status::ready;
+    const ServingStats s = frontend.stats();
+    std::uint64_t histogram_batches = 0;
+    for (const std::uint64_t count : s.batch_size_counts)
+      histogram_batches += count;
+    EXPECT_EQ(s.batches, histogram_batches) << "snapshot " << snapshots;
+    EXPECT_EQ(s.batches, s.size_closes + s.timeout_closes + s.drain_closes)
+        << "snapshot " << snapshots;
+    ++snapshots;
+    if (resolved) break;
+  }
+  EXPECT_EQ(future.get().status, ServeStatus::kOk);
+  EXPECT_GT(snapshots, 1u);
 }
 
 TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
