@@ -3,9 +3,11 @@
 // performance trajectory (CI gates on the fields, like sim_throughput).
 //
 //   ./serving_load [--clients n] [--requests n] [--models m]
-//                  [--workers w] [--max-batch b] [--max-wait-us us]
+//                  [--workers w] [--max-batch b]
 //                  [--engine cycle|analytic] [--zipf-s s]
 //                  [--open-load f] [--json-out path]
+//
+// Any other flag is a usage error (exit 2).
 //
 // Two phases against a fresh ServingFrontend each:
 //
@@ -60,7 +62,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -358,7 +359,6 @@ OverloadReport run_overload_phase(const Workload& load, std::size_t flood) {
   ServingOptions options;
   options.num_workers = 3;
   options.max_batch = 4;
-  options.max_wait_us = 200;
   options.engine = EngineKind::kAnalytic;
   // High-priority headroom is deterministic, not probabilistic: with
   // watermarks {1.0, 0.75, 0.25}, best-effort stops admitting at
@@ -492,7 +492,6 @@ DegradedReport run_degraded_phase(const Workload& load) {
   ServingOptions options;
   options.num_workers = 1;
   options.max_batch = 4;
-  options.max_wait_us = 200;
   options.engine = EngineKind::kCycle;
   options.queue_capacity = 256;
   options.max_queued_per_model = 256;
@@ -582,8 +581,6 @@ void print_phase(std::ostream& os, const char* name, const PhaseReport& r) {
      << ", \"p99_us\": " << r.p99_us
      << ", \"batches\": " << r.stats.batches
      << ", \"mean_batch_size\": " << r.stats.mean_batch_size()
-     << ", \"size_closes\": " << r.stats.size_closes
-     << ", \"timeout_closes\": " << r.stats.timeout_closes
      << ", \"batch_size_hist\": [";
   for (std::size_t i = 0; i < r.stats.batch_size_counts.size(); ++i)
     os << (i ? ", " : "") << r.stats.batch_size_counts[i];
@@ -594,13 +591,16 @@ void print_phase(std::ostream& os, const char* name, const PhaseReport& r) {
 
 int main(int argc, char** argv) {
   try {
-    const CliArgs args(argc, argv, 1);
+    const CliArgs args(argc, argv, 1,
+                       {"clients", "requests", "models", "zipf-s",
+                        "open-load", "engine", "json-out", "workers",
+                        "max-batch"});
     const std::size_t clients = args.get_size("clients", 2000);
     const std::size_t requests = args.get_size("requests", 6000);
     const std::size_t num_models = std::max<std::size_t>(
         args.get_size("models", 2), 2);  // zipf needs >= 2 ranks
-    const double zipf_s = std::atof(args.get("zipf-s", "1.0").c_str());
-    const double open_load = std::atof(args.get("open-load", "0.25").c_str());
+    const double zipf_s = args.get_double("zipf-s", 1.0);
+    const double open_load = args.get_double("open-load", 0.25);
     const std::string engine_name = args.get("engine", "analytic");
     const std::string json_out = args.get("json-out", "");
     const std::optional<EngineKind> engine = parse_engine_kind(engine_name);
@@ -613,7 +613,6 @@ int main(int argc, char** argv) {
         "workers",
         std::max<std::size_t>(2, std::thread::hardware_concurrency() / 2));
     options.max_batch = args.get_size("max-batch", 16);
-    options.max_wait_us = args.get_size("max-wait-us", 200);
     options.engine = *engine;
     // Closed-loop saturation holds `clients` requests outstanding by
     // design; size admission so the measurement phase itself is
@@ -671,8 +670,7 @@ int main(int argc, char** argv) {
          << ",\n  \"models\": " << num_models
          << ",\n  \"zipf_s\": " << zipf_s
          << ",\n  \"workers\": " << options.num_workers
-         << ",\n  \"max_batch\": " << options.max_batch
-         << ",\n  \"max_wait_us\": " << options.max_wait_us << ",\n";
+         << ",\n  \"max_batch\": " << options.max_batch << ",\n";
       print_phase(os, "closed_loop", closed);
       os << ",\n";
       print_phase(os, "open_loop", open);

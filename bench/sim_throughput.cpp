@@ -4,6 +4,8 @@
 //   ./sim_throughput [--samples n] [--hidden h] [--uv on|off]
 //                    [--json-out path]
 //
+// Any other flag is a usage error (exit 2).
+//
 // Seven engines run the same inputs (the analytic one through its
 // own backend, the rest through the same AcceleratorSim):
 //
@@ -157,7 +159,7 @@ void print_engine(std::ostream& os, const char* name, const EngineStats& s) {
 
 int main(int argc, char** argv) {
   try {
-    const CliArgs args(argc, argv, 1);
+    const CliArgs args(argc, argv, 1, {"samples", "hidden", "uv", "json-out"});
     const std::size_t samples = args.get_size("samples", 32);
     const std::size_t hidden = args.get_size("hidden", 256);
     const bool use_predictor = args.get("uv", "on") != "off";

@@ -12,16 +12,19 @@
 //                         [--engine cycle|analytic]
 //   sparsenn_cli serve-bench --model model.bin [--variant v]
 //                         [--clients n] [--requests n] [--workers w]
-//                         [--max-batch b] [--max-wait-us us]
+//                         [--max-batch b]
 //                         [--uv on|off] [--engine cycle|analytic]
 //                         [--deadline-us us] [--priority-mix h,n,b]
 //                         [--breaker-window n] [--breaker-threshold f]
 //                         [--degraded on|off]
 //   sparsenn_cli info     [--model model.bin]
 //
-// Every command also takes --simd auto|scalar: `scalar` forces the
-// scalar reference kernels (same effect as SPARSENN_FORCE_SCALAR=1)
-// so experiments pin their dispatch.
+// Every command that takes --variant also takes --train-size n and
+// --test-size n, and every command takes --simd auto|scalar: `scalar`
+// forces the scalar reference kernels (same effect as
+// SPARSENN_FORCE_SCALAR=1) so experiments pin their dispatch. A flag
+// a command does not take is a usage error (exit 2), so a typo never
+// runs on defaults.
 //
 // `train` produces a serialized model; `eval` reports float and
 // quantised TER; `simulate` deploys it on the 64-PE model; `batch`
@@ -32,7 +35,9 @@
 // cycle-accurate simulator (event-driven, sim/event_core.hpp), `analytic`
 // the closed-form fast path with bit-identical predictions and
 // estimated cycles.
-// serve-bench's overload knobs exercise the control tier: a
+// serve-bench's workers claim whatever a model's queue holds, up to
+// --max-batch requests, without waiting for a batch to fill. Its
+// overload knobs exercise the control tier: a
 // per-request deadline, a high,normal,best_effort request mix (with
 // best-effort admission watermarked so it sheds first), a per-model
 // circuit breaker, and the analytic-fallback degraded mode.
@@ -41,11 +46,11 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "arch/area.hpp"
 #include "common/cli_args.hpp"
@@ -67,7 +72,8 @@ namespace {
 using namespace sparsenn;
 
 /// `--key value` parser (src/common/cli_args.hpp): a trailing flag
-/// with no value is a UsageError → exit 2, not a silent default.
+/// with no value, or a flag the command does not take, is a
+/// UsageError → exit 2, not a silent default.
 using Args = CliArgs;
 
 DatasetVariant parse_variant(const std::string& name) {
@@ -312,8 +318,7 @@ int cmd_serve_bench(const Args& args) {
       return 2;
     }
   }
-  const double breaker_threshold =
-      std::atof(args.get("breaker-threshold", "0.5").c_str());
+  const double breaker_threshold = args.get_double("breaker-threshold", 0.5);
   if (!(breaker_threshold > 0.0) || breaker_threshold > 1.0) {
     std::cerr << "error: serve-bench takes --breaker-threshold in (0, 1], "
                  "got '"
@@ -323,7 +328,6 @@ int cmd_serve_bench(const Args& args) {
   ServingOptions options;
   options.num_workers = args.get_size("workers", 2);
   options.max_batch = args.get_size("max-batch", 8);
-  options.max_wait_us = args.get_size("max-wait-us", 200);
   options.engine = parse_engine(args);
   options.breaker.window = args.get_size("breaker-window", 0);
   options.breaker.failure_threshold = breaker_threshold;
@@ -476,6 +480,34 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
+/// A subcommand and the flags it takes besides --simd.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"train", cmd_train,
+       {"variant", "train-size", "test-size", "kind", "rank", "epochs",
+        "hidden", "layers", "out"}},
+      {"eval", cmd_eval, {"model", "variant", "train-size", "test-size"}},
+      {"simulate", cmd_simulate,
+       {"model", "variant", "train-size", "test-size", "samples", "uv",
+        "trace", "engine"}},
+      {"batch", cmd_batch,
+       {"model", "variant", "train-size", "test-size", "samples", "threads",
+        "uv", "engine"}},
+      {"serve-bench", cmd_serve_bench,
+       {"model", "variant", "train-size", "test-size", "clients",
+        "requests", "workers", "max-batch", "uv", "engine", "deadline-us",
+        "priority-mix", "breaker-window", "breaker-threshold", "degraded"}},
+      {"info", cmd_info, {"model"}},
+  };
+  return table;
+}
+
 int usage() {
   std::cerr << "usage: sparsenn_cli {train|eval|simulate|batch|serve-bench|info} "
                "[--key value ...]\n"
@@ -487,18 +519,20 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  const auto& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == table.end()) return usage();
   try {
-    // Parse inside the try: a malformed line (e.g. a trailing flag
-    // with no value) is a UsageError → exit 2.
-    const Args args(argc, argv, 2);
+    // Parse inside the try: a malformed line (a trailing flag with no
+    // value, a flag this command does not take) is a UsageError → exit 2.
+    std::vector<std::string> flags = command->flags;
+    flags.emplace_back("simd");
+    const Args args(argc, argv, 2, flags);
     apply_simd_flag(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "eval") return cmd_eval(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "batch") return cmd_batch(args);
-    if (command == "serve-bench") return cmd_serve_bench(args);
-    if (command == "info") return cmd_info(args);
+    return command->run(args);
   } catch (const UsageError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
@@ -506,5 +540,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
   }
-  return usage();
 }

@@ -70,9 +70,7 @@ ServingFrontend::ServingFrontend(ServingOptions options)
       zoo_(options_.zoo_capacity_per_arch),
       queue_(RequestQueue<Pending>::Options{
           options_.queue_capacity, options_.max_queued_per_model,
-          options_.max_batch,
-          std::chrono::microseconds(options_.max_wait_us),
-          options_.class_watermarks}),
+          options_.max_batch, options_.class_watermarks}),
       health_(options_.breaker, options_.brownout_window,
               options_.breaker.window > 0 || options_.allow_degraded) {
   expects(options_.num_workers > 0, "need at least one serving worker");
@@ -314,10 +312,9 @@ void ServingFrontend::process_batch(
     out.use_predictor = pending.use_predictor;
     out.priority = pending.priority;
     out.batch_size = n;
-    out.batch_close = batch.close;
-    out.queue_us = micros(batch.closed_at - batch.enqueued[i]);
+    out.queue_us = micros(batch.claimed_at - batch.enqueued[i]);
     if (out.status != ServeStatus::kDeadlineExceeded)
-      out.exec_us = micros(done - batch.closed_at);
+      out.exec_us = micros(done - batch.claimed_at);
     out.total_us = micros(done - batch.enqueued[i]);
     if (out.status == ServeStatus::kOk) {
       ++ok;
@@ -504,11 +501,6 @@ void ServingFrontend::process_batch(
     counts_.retries += retries_used;
     std::vector<std::uint64_t>& sizes = counts_.batch_size_counts;
     ++sizes[std::min(n, sizes.size()) - 1];
-    switch (batch.close) {
-      case BatchClose::kSize: ++counts_.size_closes; break;
-      case BatchClose::kTimeout: ++counts_.timeout_closes; break;
-      case BatchClose::kDrain: ++counts_.drain_closes; break;
-    }
   }
 
   if (health_.enabled()) {
@@ -572,7 +564,7 @@ ServingStats ServingFrontend::stats() const {
   out.completed = total(out.completed_by_class);
   out.shed = total(out.shed_by_class);
   out.failed = total(out.failed_by_class);
-  out.batches = out.size_closes + out.timeout_closes + out.drain_closes;
+  out.batches = total(out.batch_size_counts);
   out.zoo_compiles = zoo_.compile_count();
   out.zoo_hits = zoo_.hit_count();
   out.breaker_opens = health_.opens();

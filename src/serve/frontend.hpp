@@ -12,14 +12,13 @@
 // The frontend turns the ModelZoo/engine/arena machinery into a
 // traffic endpoint. submit() copies the input, stamps it,
 // and pushes it into a bounded MPMC queue (serve/request_queue.hpp)
-// keyed by (model, uv) lane; worker threads close dynamic
-// micro-batches under a latency budget (max_batch or max_wait_us,
-// whichever first), resolve the compiled image through the arch-keyed
-// ModelZoo — so one process serves models deployed against mixed
-// ArchParams configs — and run each request on the worker's private
-// ExecutionEngine through the zero-alloc ResultArena path. The
-// SimResult plus queueing/batching/execution timestamps come back
-// through the future.
+// keyed by (model, uv) lane; an idle worker claims whatever a lane
+// holds (up to max_batch, never waiting for more), resolves the
+// compiled image through the arch-keyed ModelZoo — so one process
+// serves models deployed against mixed ArchParams configs — and runs
+// each request on its private ExecutionEngine through the zero-alloc
+// ResultArena path. The SimResult plus queueing/batching/execution
+// timestamps come back through the future.
 //
 // Results are bit-identical to System::simulate() for the same
 // (network, arch, input, uv) on both engine backends — batching only
@@ -38,9 +37,7 @@
 //
 //   deadlines — SubmitOptions::deadline_us bounds a request's useful
 //     life. Expired requests are shed as kDeadlineExceeded at
-//     batch-claim time, before any engine work is spent on them, and
-//     the queue's batch-close wait is deadline-aware (a batch whose
-//     head is about to die ships immediately).
+//     batch-claim time, before any engine work is spent on them.
 //
 //   retry — a failure while resolving the compiled image (the
 //     transient class: an injected compile failure, an allocation
@@ -118,10 +115,9 @@ namespace sparsenn {
 
 struct ServingOptions {
   std::size_t num_workers = 2;
-  /// Micro-batch close triggers: size (max_batch) or latency budget
-  /// (max_wait_us since the batch's head request enqueued).
+  /// Most requests one micro-batch takes. A worker never waits for a
+  /// batch to fill: it takes what its lane holds when it claims it.
   std::size_t max_batch = 8;
-  std::uint64_t max_wait_us = 200;
   /// Admission control: global queue bound and per-(model, uv) lane
   /// bound; beyond either, submit() sheds immediately.
   std::size_t queue_capacity = 1024;
@@ -206,16 +202,15 @@ struct ServeResult {
   /// test observability for corruption-detection layers).
   bool fault_corrupted = false;
   std::size_t batch_size = 0;  ///< micro-batch this request rode in
-  BatchClose batch_close = BatchClose::kSize;
   // Latency decomposition, microseconds (0 when shed at admission):
-  double queue_us = 0.0;  ///< enqueue → micro-batch close
-  double exec_us = 0.0;   ///< micro-batch close → this result ready
+  double queue_us = 0.0;  ///< enqueue → micro-batch claim
+  double exec_us = 0.0;   ///< micro-batch claim → this result ready
   double total_us = 0.0;  ///< enqueue → this result ready
 };
 
 /// Aggregate frontend counters (single consistent snapshot). The four
 /// totals are the sums of the per-class arrays and `batches` is the sum
-/// of the three close counters, so every snapshot agrees with itself.
+/// of batch_size_counts, so every snapshot agrees with itself.
 struct ServingStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -241,11 +236,13 @@ struct ServingStats {
   std::uint64_t breaker_probes = 0;
   std::uint64_t breaker_closes = 0;
   std::uint64_t batches = 0;
-  std::uint64_t size_closes = 0;
+  /// Always 0: the queue is work-conserving, so no batch waits on a
+  /// timer. Kept only because the benchmark's
+  /// serve.<step>.timeout_close_frac metric still reads it; the two go
+  /// together in the next benchmark change.
   std::uint64_t timeout_closes = 0;
-  std::uint64_t drain_closes = 0;
-  /// batch_size_counts[n-1] = micro-batches that closed with n
-  /// requests (capped at the configured max_batch).
+  /// batch_size_counts[n-1] = micro-batches that held n requests
+  /// (capped at the configured max_batch).
   std::vector<std::uint64_t> batch_size_counts;
   std::uint64_t zoo_compiles = 0;
   std::uint64_t zoo_hits = 0;
@@ -380,8 +377,8 @@ class ServingFrontend {
   mutable sync::Mutex stats_mutex_;
   /// Every counter the frontend owns, stored once. The four totals,
   /// `batches` and the zoo/breaker fields stay 0 here: stats() derives
-  /// them from the per-class arrays and close counters, and reads the
-  /// zoo and breaker counters live.
+  /// them from the per-class arrays and the batch-size histogram, and
+  /// reads the zoo and breaker counters live.
   ServingStats counts_ SPARSENN_GUARDED_BY(stats_mutex_);
 
   mutable sync::Mutex workers_mutex_;

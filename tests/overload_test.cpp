@@ -81,8 +81,7 @@ TEST(PriorityQueue, HighestClassIsClaimedFirstDespiteAge) {
   RequestQueue<int>::Options o;
   o.capacity = 64;
   o.max_lane_depth = 64;
-  o.max_batch = 3;  // == pushes per lane: every batch size-closes
-  o.max_wait = std::chrono::microseconds(1000000);
+  o.max_batch = 3;  // == pushes per lane: each lane is one batch
   RequestQueue<int> q(o);
 
   // Best-effort arrives first (oldest), high last — claiming must
@@ -588,7 +587,6 @@ TEST(OverloadStorm, FloodShedsByClassBreaksTheFailingModelAndDegrades) {
   ServingOptions options;
   options.num_workers = 3;
   options.max_batch = 4;
-  options.max_wait_us = 200;
   options.engine = EngineKind::kCycle;
   options.queue_capacity = 256;
   options.max_queued_per_model = 256;

@@ -1,4 +1,4 @@
-// Tests for the serving tier (src/serve/): micro-batch close triggers,
+// Tests for the serving tier (src/serve/): the work-conserving claim,
 // admission-control shedding, drain-on-shutdown, mixed-arch routing —
 // and the acceptance bar: a served result is bit-identical to a direct
 // simulation of the same input on both engine backends. Batching only
@@ -32,75 +32,51 @@ using Fixture = test_fixtures::BatchFixture;
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
-// RequestQueue: the close triggers and admission control are
+// RequestQueue: the claim rule and admission control are
 // deterministic at this level (no worker threads racing the clock).
 
 RequestQueue<int>::Options queue_options(std::size_t capacity,
                                          std::size_t lane_depth,
-                                         std::size_t max_batch,
-                                         std::chrono::microseconds wait) {
+                                         std::size_t max_batch) {
   RequestQueue<int>::Options o;
   o.capacity = capacity;
   o.max_lane_depth = lane_depth;
   o.max_batch = max_batch;
-  o.max_wait = wait;
   return o;
 }
 
-TEST(RequestQueue, SizeTriggerClosesImmediately) {
-  // A lane already holding max_batch requests must close without
-  // consuming any of the latency budget.
-  RequestQueue<int> q(queue_options(64, 64, 4, /*wait=*/10s));
-  for (int i = 0; i < 4; ++i)
+TEST(RequestQueue, ClaimTakesWhatTheLaneHoldsWithoutWaiting) {
+  // Work-conserving claim: a batch is whatever the lane holds when a
+  // consumer claims it, capped at max_batch — never a wait for more.
+  RequestQueue<int> partial(queue_options(64, 64, /*max_batch=*/8));
+  ASSERT_EQ(partial.try_push(/*lane=*/7, 1), PushOutcome::kAccepted);
+  ASSERT_EQ(partial.try_push(/*lane=*/7, 2), PushOutcome::kAccepted);
+  const auto both = partial.next_batch();
+  ASSERT_TRUE(both.has_value());
+  EXPECT_EQ(both->lane, 7u);
+  EXPECT_EQ(both->items, (std::vector<int>{1, 2}));
+  ASSERT_EQ(both->enqueued.size(), 2u);
+  ASSERT_EQ(both->deadlines.size(), 2u);
+  EXPECT_EQ(partial.size(), 0u);
+
+  // More than max_batch queued: full batches, then the remainder, in
+  // FIFO order.
+  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/4));
+  for (int i = 0; i < 11; ++i)
     ASSERT_EQ(q.try_push(/*lane=*/7, int{i}), PushOutcome::kAccepted);
-
-  const auto start = RequestQueue<int>::Clock::now();
-  const auto batch = q.next_batch();
-  const auto elapsed = RequestQueue<int>::Clock::now() - start;
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->close, BatchClose::kSize);
-  EXPECT_EQ(batch->lane, 7u);
-  ASSERT_EQ(batch->items.size(), 4u);
-  ASSERT_EQ(batch->enqueued.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(batch->items[i], i);
-  EXPECT_LT(elapsed, 5s);  // did not sit out the 10s budget
+  int next = 0;
+  for (const std::size_t want : {4u, 4u, 3u}) {
+    const auto batch = q.next_batch();
+    ASSERT_TRUE(batch.has_value());
+    ASSERT_EQ(batch->items.size(), want);
+    for (const int item : batch->items) EXPECT_EQ(item, next++);
+  }
   EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(RequestQueue, TimeoutTriggerShipsPartialBatch) {
-  // Fewer than max_batch requests: the batch must ship when the HEAD
-  // request's budget expires, carrying whatever arrived.
-  RequestQueue<int> q(queue_options(64, 64, 8, /*wait=*/2ms));
-  ASSERT_EQ(q.try_push(0, 1), PushOutcome::kAccepted);
-  ASSERT_EQ(q.try_push(0, 2), PushOutcome::kAccepted);
-
-  const auto batch = q.next_batch();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->close, BatchClose::kTimeout);
-  ASSERT_EQ(batch->items.size(), 2u);
-  EXPECT_GE(batch->closed_at - batch->enqueued.front(), 2ms);
-}
-
-TEST(RequestQueue, LateArrivalsJoinAnOpenBatchUpToTheSizeTrigger) {
-  // A consumer already waiting on a lane must still take pushes that
-  // arrive before its deadline — and close early once full.
-  RequestQueue<int> q(queue_options(64, 64, 3, /*wait=*/5s));
-  ASSERT_EQ(q.try_push(0, 0), PushOutcome::kAccepted);
-  std::thread producer([&q] {
-    std::this_thread::sleep_for(10ms);
-    (void)q.try_push(0, 1);
-    (void)q.try_push(0, 2);
-  });
-  const auto batch = q.next_batch();
-  producer.join();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->close, BatchClose::kSize);
-  EXPECT_EQ(batch->items.size(), 3u);
 }
 
 TEST(RequestQueue, ShedsOnGlobalAndPerLaneBounds) {
   RequestQueue<int> q(queue_options(/*capacity=*/3, /*lane_depth=*/2,
-                                    /*max_batch=*/8, 10s));
+                                    /*max_batch=*/8));
   EXPECT_EQ(q.try_push(0, 0), PushOutcome::kAccepted);
   EXPECT_EQ(q.try_push(0, 1), PushOutcome::kAccepted);
   // Lane 0 is at its depth bound; the queue still has room.
@@ -118,7 +94,7 @@ TEST(RequestQueue, ShedsOnGlobalAndPerLaneBounds) {
 }
 
 TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
-  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/2, 10s));
+  RequestQueue<int> q(queue_options(64, 64, /*max_batch=*/2));
   for (int i = 0; i < 5; ++i)
     ASSERT_EQ(q.try_push(/*lane=*/i % 2, int{i}), PushOutcome::kAccepted);
   q.shutdown();
@@ -136,7 +112,7 @@ TEST(RequestQueue, ShutdownDrainsThenSignalsExit) {
 TEST(RequestQueue, ManyProducersManyConsumersLoseNothing) {
   // The MPMC contract under the sanitizer jobs: every accepted item
   // comes out in exactly one batch.
-  RequestQueue<int> q(queue_options(4096, 4096, 4, /*wait=*/500us));
+  RequestQueue<int> q(queue_options(4096, 4096, 4));
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 200;
 
@@ -179,11 +155,20 @@ TEST(RequestQueue, ManyProducersManyConsumersLoseNothing) {
 // ---------------------------------------------------------------------------
 // ServingFrontend: end-to-end over real inferences.
 
+/// Parks a one-worker frontend: the first batch its worker claims
+/// stalls 200 ms at batch entry, so requests submitted meanwhile stay
+/// queued. serve.worker.batch fires before the claim-time deadline
+/// check, so a request with a short deadline expires while parked.
+void park_first_batch(fault::ScopedFaultStorm& storm) {
+  storm.add({.point = "serve.worker.batch",
+             .action = fault::FaultAction::kDelay, .one_shot = true,
+             .delay_us = 200'000});
+}
+
 ServingOptions serving_options(EngineKind kind) {
   ServingOptions o;
   o.num_workers = 2;
   o.max_batch = 4;
-  o.max_wait_us = 500;
   o.engine = kind;
   return o;
 }
@@ -227,8 +212,10 @@ TEST_P(ServeEngines, ServedResultsBitIdenticalToDirectSimulation) {
   EXPECT_EQ(stats.submitted, futures.size());
   EXPECT_EQ(stats.completed, futures.size());
   EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.size_closes + stats.timeout_closes + stats.drain_closes,
-            stats.batches);
+  std::uint64_t histogram_requests = 0;
+  for (std::size_t n = 0; n < stats.batch_size_counts.size(); ++n)
+    histogram_requests += stats.batch_size_counts[n] * (n + 1);
+  EXPECT_EQ(histogram_requests, stats.completed);
   // Two lanes (uv on/off) → exactly two compiles, everything else hits.
   EXPECT_EQ(stats.zoo_compiles, 2u);
 }
@@ -269,19 +256,20 @@ TEST(ServingFrontend, MixedArchConfigsServeSideBySide) {
 }
 
 TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
-  // Tiny queue + a batcher holding its lane open for far longer than
-  // the submit burst takes: almost everything past the capacity must
-  // shed, immediately, with a diagnosable status — and every accepted
+  // Tiny queue + the one worker parked for far longer than the submit
+  // burst takes: almost everything past the capacity must shed,
+  // immediately, with a diagnosable status — and every accepted
   // request must still complete.
   const Fixture f = make_batch_fixture(1, /*seed=*/57);
   ServingOptions options;
   options.num_workers = 1;
-  options.max_batch = 64;        // never reached (capacity is smaller)
-  options.max_wait_us = 200000;  // 200ms: the burst below takes µs
+  options.max_batch = 64;  // never reached (capacity is smaller)
   options.queue_capacity = 4;
   options.max_queued_per_model = 4;
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
+  fault::ScopedFaultStorm storm(/*seed_value=*/57);
+  park_first_batch(storm);  // 200 ms: the burst below takes µs
 
   constexpr std::size_t kBurst = 32;
   std::vector<std::future<ServeResult>> futures;
@@ -318,9 +306,11 @@ TEST(ServingFrontend, ShedsUnderOverloadInsteadOfQueueingUnboundedly) {
 TEST(ServingFrontend, ShutdownDrainsAcceptedWorkAndRefusesNewWork) {
   const Fixture f = make_batch_fixture(6, /*seed=*/59);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
-  options.max_wait_us = 200000;  // requests are queued when we shut down
+  options.num_workers = 1;
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
+  fault::ScopedFaultStorm storm(/*seed_value=*/59);
+  park_first_batch(storm);  // requests are queued when we shut down
 
   std::vector<std::future<ServeResult>> futures;
   for (std::size_t i = 0; i < f.data.size(); ++i)
@@ -364,11 +354,13 @@ TEST(ServingFrontend, MeanBatchSizeCountsOnlyWhatBatchesHeld) {
   const Fixture f = make_batch_fixture(16, /*seed=*/63);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
   options.num_workers = 1;
-  options.max_wait_us = 10'000'000;  // batches close on size (4)
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
   {
     fault::ScopedFaultStorm storm(/*seed_value=*/29);
+    // The parked worker lets the accepted requests queue up into
+    // batches of up to max_batch (4).
+    park_first_batch(storm);
     storm.add({.point = "serve.queue.push",
                .action = fault::FaultAction::kThrow,
                .every_n = 2});
@@ -393,8 +385,8 @@ TEST(ServingFrontend, MeanBatchSizeCountsOnlyWhatBatchesHeld) {
 
 TEST(ServingFrontend, BatchCountersAgreeInEveryLiveSnapshot) {
   // Regression: `batches` used to come from the queue, which counts a
-  // batch when a worker claims it, while the histogram and the close
-  // counters move only after the batch resolves. A snapshot taken
+  // batch when a worker claims it, while the histogram moves only
+  // after the batch resolves. A snapshot taken
   // while a batch was in flight disagreed with itself (and
   // mean_batch_size() read 0). A 200 ms stall at batch entry holds the
   // one batch in flight while stats() is polled.
@@ -419,8 +411,6 @@ TEST(ServingFrontend, BatchCountersAgreeInEveryLiveSnapshot) {
     for (const std::uint64_t count : s.batch_size_counts)
       histogram_batches += count;
     EXPECT_EQ(s.batches, histogram_batches) << "snapshot " << snapshots;
-    EXPECT_EQ(s.batches, s.size_closes + s.timeout_closes + s.drain_closes)
-        << "snapshot " << snapshots;
     ++snapshots;
     if (resolved) break;
   }
@@ -429,23 +419,25 @@ TEST(ServingFrontend, BatchCountersAgreeInEveryLiveSnapshot) {
 }
 
 TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
-  // Destroying the frontend while requests are still queued (a long
-  // latency budget keeps them waiting for a batch to close) must not
-  // break a single promise: the drain-close path either executes or
-  // resolves each one, and get() never throws std::future_error.
+  // Destroying the frontend while requests are still queued (the one
+  // worker is parked on its first batch) must not break a single
+  // promise: the shutdown drain either executes or resolves each one,
+  // and get() never throws std::future_error.
   const Fixture f = make_batch_fixture(16, /*seed=*/67);
   std::vector<std::future<ServeResult>> futures;
   {
     ServingOptions options = serving_options(EngineKind::kAnalytic);
     options.num_workers = 1;
     options.max_batch = 16;
-    options.max_wait_us = 10'000'000;  // close only on size or drain
     ServingFrontend frontend(options);
     const std::size_t model =
         frontend.register_model(f.network, tiny_arch());
+    fault::ScopedFaultStorm storm(/*seed_value=*/67);
+    park_first_batch(storm);
     for (std::size_t i = 0; i < f.data.size() - 1; ++i)
       futures.push_back(frontend.submit(model, f.data.image(i)));
-    // Frontend destroyed here with 15 requests parked in the queue.
+    // Frontend destroyed here with the worker parked and the rest of
+    // the 15 requests in the queue.
   }
   for (auto& fut : futures) {
     const ServeResult r = fut.get();  // must not throw
@@ -457,26 +449,26 @@ TEST(ServingFrontend, DestructionWithQueuedWorkResolvesEveryFuture) {
 
 TEST(ServingFrontend, ExpiredDeadlineIsShedBeforeExecution) {
   // A request whose deadline has already passed when a worker claims
-  // it resolves kDeadlineExceeded without touching the engine, and the
-  // deadline-aware batch close ships it long before the lane's full
-  // latency budget.
+  // it resolves kDeadlineExceeded without touching the engine, as soon
+  // as the worker gets to it.
   const Fixture f = make_batch_fixture(2, /*seed=*/59);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
   options.num_workers = 1;
   options.max_batch = 8;
-  options.max_wait_us = 2'000'000;  // 2s budget the deadline undercuts
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
+  fault::ScopedFaultStorm storm(/*seed_value=*/59);
+  park_first_batch(storm);  // the claim-time check runs after the stall
 
   SubmitOptions expired;
-  expired.deadline_us = 1;  // expires before any worker can claim it
+  expired.deadline_us = 1;  // expires before the worker checks it
   const auto start = std::chrono::steady_clock::now();
   const ServeResult r =
       frontend.submit(model, f.data.image(0), expired).get();
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(r.status, ServeStatus::kDeadlineExceeded);
   EXPECT_TRUE(r.result.layers.empty());
-  EXPECT_LT(elapsed, 1s) << "deadline did not cut the batch-close wait";
+  EXPECT_LT(elapsed, 1s) << "the expired request waited past the stall";
 
   // Deadline-free traffic on the same lane is untouched.
   SubmitOptions relaxed;
@@ -500,7 +492,6 @@ TEST(ServingFrontend, LiveStatsNeverShowMoreResolvedThanSubmitted) {
   // the push; every live snapshot must satisfy the ledger inequality.
   const Fixture f = make_batch_fixture(8, /*seed=*/91);
   ServingOptions options = serving_options(EngineKind::kAnalytic);
-  options.max_wait_us = 100;
   ServingFrontend frontend(options);
   const std::size_t model = frontend.register_model(f.network, tiny_arch());
 
