@@ -1,9 +1,8 @@
 // google-benchmark microbenchmarks of the computational kernels the
 // reproduction is built on: the fixed-point SIMD kernel layer
 // (common/kernels.hpp, scalar reference vs every ISA this host can
-// run), dense matvec, truncated SVD, quantisation, H-tree arbitration
-// throughput, and the PE W-phase data pass (per-activation column MACs
-// vs row-outer walks of the shared activation list).
+// run), dense matvec, truncated SVD, quantisation and H-tree
+// arbitration throughput.
 //
 // Run with --benchmark_format=json for a machine-readable section; the
 // custom context records the dispatched SIMD ISA so recorded numbers
@@ -128,90 +127,6 @@ void BM_KernelMacCol(benchmark::State& state) {
   state.SetLabel(to_string(k.isa));
 }
 BENCHMARK(BM_KernelMacCol)->ArgsProduct({{40, 128}, {0, 1}});
-
-// The event core's W-phase data pass at paper shape: one PE with 16
-// predicted-active rows of a 1000-wide layer, and the ~25% nonzero
-// activations the phase delivers, as one ascending (index, value)
-// list. Two ways to compute the same exact int64 sums:
-//   MacCol   — per activation, mac_col_i16 over the active rows (the
-//              per-cycle datapath order);
-//   RowOuter — per row, a scalar pass over the list with the
-//              accumulator in a register: the loop the event core ships
-//              (ProcessingElement::apply_w_activations).
-// The rows counter reports time per 1000-wide row.
-struct WDataPass {
-  static constexpr std::size_t kRows = 16;
-  static constexpr std::size_t kStride = 1000;
-  std::vector<std::int16_t> w;
-  std::vector<std::uint32_t> rows;
-  std::vector<std::uint32_t> idx;
-  std::vector<std::int16_t> vals;
-};
-
-WDataPass make_w_data_pass() {
-  std::mt19937 rng(17);
-  std::uniform_int_distribution<int> val(-32768, 32767);
-  std::bernoulli_distribution nonzero(0.25);
-  WDataPass in;
-  in.w.resize(WDataPass::kRows * WDataPass::kStride);
-  for (auto& v : in.w) v = static_cast<std::int16_t>(val(rng));
-  for (std::size_t r = 0; r < WDataPass::kRows; ++r)
-    in.rows.push_back(static_cast<std::uint32_t>(r));
-  for (std::size_t c = 0; c < WDataPass::kStride; ++c) {
-    if (!nonzero(rng)) continue;
-    in.idx.push_back(static_cast<std::uint32_t>(c));
-    in.vals.push_back(static_cast<std::int16_t>(val(rng) | 1));
-  }
-  return in;
-}
-
-void set_w_data_pass_counters(benchmark::State& state,
-                              const WDataPass& in) {
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(in.rows.size() *
-                                                    in.idx.size()));
-  state.counters["rows"] = benchmark::Counter(
-      static_cast<double>(in.rows.size()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
-  state.counters["nnz"] = static_cast<double>(in.idx.size());
-}
-
-void BM_WDataPassMacCol(benchmark::State& state) {
-  const WDataPass in = make_w_data_pass();
-  const auto& k = scalar_kernels();  // mac_col is scalar in every table
-  std::vector<std::int64_t> acc(WDataPass::kRows, 0);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < in.idx.size(); ++i) {
-      k.mac_col_i16(acc.data(), in.w.data(), WDataPass::kStride,
-                    in.w.size(), in.rows.data(), in.rows.size(),
-                    in.idx[i], in.vals[i]);
-    }
-    benchmark::DoNotOptimize(acc.data());
-    benchmark::ClobberMemory();
-  }
-  set_w_data_pass_counters(state, in);
-}
-BENCHMARK(BM_WDataPassMacCol);
-
-void BM_WDataPassRowOuter(benchmark::State& state) {
-  const WDataPass in = make_w_data_pass();
-  const std::size_t n = in.idx.size();
-  std::vector<std::int64_t> acc(WDataPass::kRows, 0);
-  for (auto _ : state) {
-    for (const std::uint32_t r : in.rows) {
-      const std::int16_t* row = in.w.data() + r * WDataPass::kStride;
-      std::int64_t sum = acc[r];
-      for (std::size_t i = 0; i < n; ++i)
-        sum += std::int64_t{row[in.idx[i]]} * std::int64_t{in.vals[i]};
-      acc[r] = sum;
-    }
-    benchmark::DoNotOptimize(acc.data());
-    benchmark::ClobberMemory();
-  }
-  set_w_data_pass_counters(state, in);
-}
-BENCHMARK(BM_WDataPassRowOuter);
 
 void BM_KernelNonzeroScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -19,9 +19,11 @@
 //     bit_identical assertion below also pins the event-driven engines
 //     against the per-cycle oracle on every sample;
 //
-//   "compiled" — the network is compiled once (CompiledNetwork), the
-//     first inference runs with ValidationMode::kFull, and the rest
-//     run with validation off (default stepping — the event core);
+//   "compiled" — the network is compiled once (CompiledNetwork) and
+//     every inference runs on the default stepping, the event core,
+//     which takes every layer value from the functional pass (so
+//     ValidationMode, which only acts on the per-cycle oracle, does
+//     not matter here);
 //
 //   "per_cycle_engine" — the same compiled image under
 //     SteppingMode::kPerCycle with validation off: the oracle the
@@ -36,13 +38,13 @@
 //     per-cycle inf/s) >= 1.5 and the bit-identity flag;
 //
 //   "cached_sweep" — the System::simulate() sweep profile today: every
-//     inference fetches the image from a ModelZoo (always
-//     a hit after the first) and keeps the golden cross-check ON. The
-//     reported "cached_sweep_speedup" vs per_inference is the win the
-//     cache buys the fig/ablation single-shot sweeps;
+//     inference fetches the image from a ModelZoo (always a hit after
+//     the first) and runs on the event core. The reported
+//     "cached_sweep_speedup" vs per_inference is the win the cache and
+//     the event core buy the fig/ablation single-shot sweeps;
 //
-//   "arena" — the compiled engine writing into a ResultArena
-//     (validation off): the steady state performs ZERO heap
+//   "arena" — the compiled engine writing into a ResultArena: the
+//     steady state performs ZERO heap
 //     allocations per inference, and the bench exits nonzero if the
 //     counted number is anything but 0;
 //
@@ -214,16 +216,13 @@ int main(int argc, char** argv) {
     bool identical = true;
     {
       const CompiledNetwork compiled(quantized, arch, use_predictor);
-      // Warm-up inference (validated) so the measured loop shows the
-      // steady state; its result is checked but not timed.
-      identical =
-          sim.run(compiled, inputs[0], ValidationMode::kFull) ==
-          reference[0];
+      // Warm-up inference so the measured loop shows the steady state;
+      // its result is checked but not timed.
+      identical = sim.run(compiled, inputs[0]) == reference[0];
       const std::uint64_t allocs_before = g_allocs.load();
       const auto start = clock::now();
       for (std::size_t i = 0; i < samples; ++i) {
-        const SimResult r =
-            sim.run(compiled, inputs[i], ValidationMode::kOff);
+        const SimResult r = sim.run(compiled, inputs[i]);
         compiled_stats.cycles += r.total_cycles;
         identical = identical && r == reference[i];
       }
@@ -298,16 +297,16 @@ int main(int argc, char** argv) {
     }
 
     // ---- cached single-shot sweep (System::simulate profile) ----
-    // Same work as per_inference minus the recompile: cache hit + full
-    // golden validation on every call.
+    // A cache hit instead of per_inference's recompile, and the event
+    // core instead of the per-cycle oracle, on every call.
     EngineStats cached_stats;
     {
       ModelZoo zoo;
       const std::uint64_t allocs_before = g_allocs.load();
       const auto start = clock::now();
       for (std::size_t i = 0; i < samples; ++i) {
-        const SimResult r = sim.run(*zoo.get(arch, quantized, use_predictor),
-                                    inputs[i], ValidationMode::kFull);
+        const SimResult r =
+            sim.run(*zoo.get(arch, quantized, use_predictor), inputs[i]);
         cached_stats.cycles += r.total_cycles;
         identical = identical && r == reference[i];
       }
@@ -381,8 +380,8 @@ int main(int argc, char** argv) {
 
     // ---- batch arena path: marginal allocations per inference ----
     // keep_results=false batches fold arena-held results into worker
-    // accumulators; setup (threads, sims, arenas, first validated
-    // inference) allocates, so measure the same batch at half and full
+    // accumulators; setup (threads, sims, arenas, first inference)
+    // allocates, so measure the same batch at half and full
     // size and report the marginal cost of the extra inferences.
     double batch_marginal_allocs = 0.0;
     {

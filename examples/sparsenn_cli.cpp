@@ -201,10 +201,8 @@ int cmd_simulate(const Args& args) {
 
   // One compiled image per uv mode, fetched through the ModelZoo (the
   // same machinery System uses — both uv images stay warm under its
-  // LRU bound); single runs keep the golden-model cross-check on
-  // (ValidationMode::kFull is the cycle engine's default), and the
-  // cross-check always runs against the matching uv mode's golden
-  // path — uv_off validates against the EIE-style all-rows model.
+  // LRU bound). Each uv mode's layer values come from its own
+  // functional pass — uv_off's is the EIE-style all-rows model.
   ModelZoo zoo;
 
   std::cout << "engine: " << to_string(engine_kind) << "\n";

@@ -285,10 +285,8 @@ __attribute__((target("avx2"))) void predict_bits_avx2(
 // mac_col stays scalar in every table: the destinations acc[rows[i]]
 // are scattered (no AVX2 scatter store exists) and each row's word
 // sits a full stride from the next, so there is no contiguous vector
-// load to feed. Only the per-cycle consume step calls it, one
-// activation at a time; bench/micro_kernels' BM_KernelMacCol and
-// BM_WDataPassMacCol time that order, and BM_WDataPassRowOuter the
-// row-outer data pass that replaced it in the event core.
+// load to feed. Only the per-cycle oracle's consume step calls it, one
+// activation at a time; bench/micro_kernels' BM_KernelMacCol times it.
 
 __attribute__((target("avx2"))) void quantize_avx2(const float* in,
                                                    std::size_t n,

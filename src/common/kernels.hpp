@@ -2,19 +2,17 @@
 // The vectorised fixed-point kernel layer.
 //
 // The hot integer inner loops of the simulator route through this
-// table: the functional layer pass (nn/quantized.cpp), the analytic
-// engine's nonzero census, and the PE's V/U phase datapaths and
-// per-cycle W consume step (pe/pe.cpp). The one exception is the event
-// core's bulk W data pass (ProcessingElement::apply_w_activations), a
-// plain scalar row-outer loop: at paper shape it measured faster than
-// both mac_col_i16 (bench/micro_kernels, BM_WDataPass*) and an AVX2
-// gather dot product, since removed (CHANGES.md records it). Each
+// table: the functional layer pass (nn/quantized.cpp) that supplies
+// every layer value to the analytic engine and the event-stepped
+// cycle engine, the nonzero censuses, and the per-cycle oracle's PE
+// datapath (pe/pe.cpp: U-phase predictor, W consume step). Each
 // entry has a scalar reference implementation plus AVX2/SSE4.2/NEON
 // specialisations selected at runtime (common/simd.hpp); all
 // implementations accumulate in exact 64-bit integer arithmetic, so
 // every table produces bit-identical results — tests/kernels_test.cpp
 // pins this property across widths, alignments, ragged tails and int16
-// saturation extremes. The table holds only entries a product path
+// saturation extremes. Apart from axpy_i16_i64, the building block of
+// the sparse matvec, the table holds only entries a product path
 // calls.
 
 #include <cstddef>
@@ -29,7 +27,8 @@ namespace sparsenn {
 struct KernelTable {
   SimdIsa isa = SimdIsa::kScalar;
 
-  /// acc[j] += w[j]·a for j < n (the PE's V-phase column MAC burst).
+  /// acc[j] += w[j]·a for j < n: one column MAC sweep, the building
+  /// block of sparse_matvec_i16_i64.
   void (*axpy_i16_i64)(std::int64_t* acc, const std::int16_t* w,
                        std::int16_t a, std::size_t n);
 
@@ -62,8 +61,7 @@ struct KernelTable {
   /// consume step's order (ProcessingElement::consume_front, wide
   /// slices). total_words is the size of the w block — a bounds budget
   /// for implementations that read wider-than-16-bit lanes. Scalar in
-  /// every table (see kernels.cpp); the event core's W data pass does
-  /// not use it, because walking the activations row-outer is faster.
+  /// every table (see kernels.cpp).
   void (*mac_col_i16)(std::int64_t* acc, const std::int16_t* w,
                       std::size_t stride, std::size_t total_words,
                       const std::uint32_t* rows, std::size_t nrows,

@@ -52,13 +52,12 @@ const QuantizedNetwork& System::quantized() const {
 SimResult System::simulate(std::size_t test_index, bool use_predictor) {
   expects(prepared(), "call prepare() first");
   expects(test_index < split_->test.size(), "test index out of range");
-  // Zoo-cached compile + full validation on the configured backend.
-  // On the cycle engine this is bit-identical to the one-shot
-  // run(network, …) path, minus the per-call recompile; the analytic
-  // engine returns the same predictions with estimated cycles.
+  // Zoo-cached compile on the configured backend. On the cycle engine
+  // this is bit-identical to the one-shot run(network, …) path, minus
+  // the per-call recompile; the analytic engine returns the same
+  // predictions with estimated cycles.
   return engine_->run(*compiled(use_predictor),
-                      split_->test.image(test_index),
-                      ValidationMode::kFull);
+                      split_->test.image(test_index));
 }
 
 BatchResult System::simulate_batch(const BatchOptions& options) const {
@@ -86,9 +85,7 @@ HardwareComparison System::compare_hardware(std::size_t samples) const {
   const std::size_t hidden = network().num_hidden_layers();
   const EnergyModel energy(options_.arch);
 
-  // One batch per uv mode: its first inference runs with the golden
-  // cross-check, the rest trust the engine (results are bit-identical
-  // either way). The means sum `results` in input order.
+  // One batch per uv mode. The means sum `results` in input order.
   const auto measure = [&](bool use_predictor) {
     BatchOptions options;
     options.use_predictor = use_predictor;

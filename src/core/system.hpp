@@ -80,9 +80,7 @@ class System {
   /// (SystemOptions::engine). The network's per-PE slice image comes
   /// from the system's ModelZoo, so repeated calls (rank/threshold
   /// sweeps, the fig benches) compile once per (epoch, uv mode)
-  /// instead of once per call; on the cycle backend the golden-model
-  /// cross-check stays on (single runs are the paper's verification
-  /// path).
+  /// instead of once per call.
   SimResult simulate(std::size_t test_index, bool use_predictor);
 
   /// The backend simulate()/compare_hardware() run on.

@@ -121,28 +121,18 @@ void ProcessingElement::start_v_phase() {
 }
 
 void ProcessingElement::burst_v_compute(std::size_t k) {
-  // Bulk event charge first: every burst cycle is one MAC, one V-mem
-  // read and one active cycle, exactly like k step_v_compute() calls.
+  // Every burst cycle is one MAC, one V-mem read and one active cycle,
+  // and each finished column one activation-register read, exactly
+  // like k step_v_compute() calls.
   events_.v_mem_reads += k;
   events_.macs += k;
   events_.pe_active_cycles += k;
   v_mem_.note_reads(k);
-  while (k > 0) {
-    const Flit& in = v_inputs_[v_input_cursor_];
-    const std::size_t slot = static_cast<std::size_t>(in.index) / num_pes_;
-    const std::size_t take = std::min(slice_.rank - v_rank_cursor_, k);
-    const auto row = v_mem_.row(slot);
-    kern_->axpy_i16_i64(v_partials_.data() + v_rank_cursor_,
-                        row.data() + v_rank_cursor_,
-                        static_cast<std::int16_t>(in.payload), take);
-    v_rank_cursor_ += take;
-    k -= take;
-    if (v_rank_cursor_ >= slice_.rank) {
-      v_rank_cursor_ = 0;
-      ++v_input_cursor_;
-      ++events_.act_reg_reads;
-    }
-  }
+  if (k == 0) return;
+  const std::size_t pos = v_rank_cursor_ + k;
+  v_input_cursor_ += pos / slice_.rank;
+  events_.act_reg_reads += pos / slice_.rank;
+  v_rank_cursor_ = pos % slice_.rank;
 }
 
 Flit ProcessingElement::peek_partial() const {
@@ -183,6 +173,19 @@ std::size_t ProcessingElement::run_u_phase() {
     for (std::size_t r = 0; r < rows; ++r)
       predictor_bits_[r] = 0 > slice_.predictor_threshold_raw ? 1 : 0;
   }
+  return charge_u_macs();
+}
+
+std::size_t ProcessingElement::charge_u_phase(
+    std::span<const std::uint8_t> layer_mask) {
+  ensures(slice_.has_predictor, "U phase requires a predictor slice");
+  for (std::size_t r = 0; r < slice_.global_rows.size(); ++r)
+    predictor_bits_[r] = layer_mask[slice_.global_rows[r]];
+  return charge_u_macs();
+}
+
+std::size_t ProcessingElement::charge_u_macs() {
+  const std::size_t rows = slice_.global_rows.size();
   const std::size_t macs = rows * slice_.rank;
   u_mem_.note_reads(macs);
   events_.u_mem_reads += macs;
@@ -223,32 +226,8 @@ void ProcessingElement::pop_injection() {
   ++events_.act_reg_reads;
 }
 
-void ProcessingElement::apply_w_activations(
-    std::span<const std::uint32_t> index,
-    std::span<const std::int16_t> value) {
-  expects(index.size() == value.size(),
-          "activation index and value lists differ in length");
-  const std::size_t n = index.size();
-  // Indices ascend, so the last one bounds them all.
-  expects(n == 0 || index.back() < slice_.layer_input_dim,
-          "activation index out of layer range");
+void ProcessingElement::charge_w_activations(std::size_t n) {
   const std::size_t n_active = active_local_rows_.size();
-  const auto words = w_mem_.words();
-  const std::size_t stride = w_mem_.row_stride();
-  // Row-outer: one pass over the list per predicted-active row, the
-  // accumulator in a register and the row read in ascending address
-  // order; the sum per row is the same exact int64 value the
-  // per-cycle order produces. A plain scalar loop on purpose: at paper
-  // shape it beats the per-activation mac_col_i16 (bench/micro_kernels,
-  // BM_WDataPass*) and beat an AVX2 gather dot product, since removed
-  // (CHANGES.md records the measurement).
-  for (const std::uint32_t r : active_local_rows_) {
-    const std::int16_t* row = words.data() + r * stride;
-    std::int64_t acc = w_accumulators_[r];
-    for (std::size_t i = 0; i < n; ++i)
-      acc += std::int64_t{row[index[i]]} * std::int64_t{value[i]};
-    w_accumulators_[r] = acc;
-  }
   w_mem_.note_reads(n * n_active);
   events_.w_mem_reads += n * n_active;
   events_.macs += n * n_active;
@@ -278,6 +257,16 @@ ProcessingElement::write_back() {
     write_back_buffer_.emplace_back(global, value);
   }
   return write_back_buffer_;
+}
+
+void ProcessingElement::store_activations(
+    std::span<const std::int16_t> layer_out) {
+  regfiles_.destination().clear();
+  for (const std::uint32_t global : slice_.global_rows)
+    regfiles_.destination().write(static_cast<std::size_t>(global) /
+                                      num_pes_,
+                                  layer_out[global]);
+  events_.act_reg_writes += slice_.global_rows.size();
 }
 
 }  // namespace sparsenn

@@ -19,7 +19,11 @@
 //
 // The cycle loop lives in src/sim; the PE exposes per-cycle step
 // methods and precise event counters. All arithmetic is int16/int64
-// fixed point and must match nn::QuantizedNetwork bit-for-bit.
+// fixed point and must match nn::QuantizedNetwork bit-for-bit. The
+// per-cycle oracle runs this datapath. The event core instead calls
+// the charge_* methods and store_activations(): they keep every cursor
+// and counter the timing needs and take the layer's values from the
+// functional pass.
 //
 // A PeLayerSlice is a bundle of read-only views into storage owned by
 // whoever compiled the network (sim::CompiledNetwork, or an
@@ -127,10 +131,11 @@ class ProcessingElement {
                : (v_inputs_.size() - v_input_cursor_) * slice_.rank -
                      v_rank_cursor_;
   }
-  /// Executes exactly `k` step_v_compute() cycles in one shot through
-  /// the vectorised column-MAC kernel — cursors, partial sums and
-  /// every event counter end bit-identical to k single steps.
-  /// Precondition: k <= v_burst_cycles().
+  /// Charges exactly `k` step_v_compute() cycles in one shot: cursors
+  /// and every event counter end bit-identical to k single steps, but
+  /// no MAC runs, so the partial sums stay zero. The event core's V
+  /// phase takes the V result from the functional pass, and the tree
+  /// timing never reads a payload. Precondition: k <= v_burst_cycles().
   void burst_v_compute(std::size_t k);
   /// Partial-sum injection (after local compute): one flit per row.
   bool has_partial_ready() const noexcept {
@@ -154,6 +159,11 @@ class ProcessingElement {
   /// Runs the whole U phase; returns the exact cycle count this PE
   /// needs (rows × rank MACs at one per cycle).
   std::size_t run_u_phase();
+  /// The U phase without its MACs: each mapped row's predictor bit is
+  /// read from `layer_mask` (the functional pass's mask over all the
+  /// layer's rows) and the counters and cycle count are those of
+  /// run_u_phase().
+  std::size_t charge_u_phase(std::span<const std::uint8_t> layer_mask);
   /// uv_off: mark every mapped row active instead of predicting.
   void force_all_rows_active();
   std::span<const std::uint8_t> predictor_bits() const noexcept {
@@ -193,11 +203,11 @@ class ProcessingElement {
   bool w_done() const noexcept {
     return injections_done() && queue_.empty() && w_busy_cycles_ == 0;
   }
-  /// The full W-phase injection list built by start_w_phase(), cursor
-  /// independent — the event core concatenates every PE's list to know
-  /// all activations the phase will deliver before simulating it.
-  std::span<const Flit> w_injection_flits() const noexcept {
-    return w_injections_;
+  /// Size of the W-phase injection list built by start_w_phase(),
+  /// cursor independent — the event core sums it over every PE to
+  /// know how many activations the phase will deliver.
+  std::size_t w_injection_count() const noexcept {
+    return w_injections_.size();
   }
   /// Predicted-active mapped rows this layer (valid after
   /// start_w_phase()); the per-delivered-activation datapath occupancy
@@ -205,22 +215,24 @@ class ProcessingElement {
   std::size_t w_active_row_count() const noexcept {
     return active_local_rows_.size();
   }
-  /// Bulk W-phase datapath: accumulates every delivered activation —
-  /// the list `index`/`value`, ascending by index — into the local
-  /// accumulators and charges the per-activation event totals (2 queue
-  /// ops, max(1, active) busy cycles, active W-mem reads and MACs
-  /// each). Bit-identical in data and counters to enqueueing and
-  /// consuming them one cycle at a time, because int64 accumulation is
-  /// exact and order-independent. The event core builds the list once
-  /// per phase, shares it across every PE and pairs this with its
-  /// cycle-timing model, which never touches the PE.
-  void apply_w_activations(std::span<const std::uint32_t> index,
-                           std::span<const std::int16_t> value);
+  /// Charges the event totals of consuming `n` delivered activations
+  /// (2 queue ops, max(1, active) busy cycles, active W-mem reads and
+  /// MACs each) with no MAC: the counters the per-cycle consume steps
+  /// would end with, since every one of them depends on counts only.
+  /// The event core pairs this with its cycle-timing model, which
+  /// never touches the PE, and takes the values from the functional
+  /// pass (store_activations).
+  void charge_w_activations(std::size_t n);
 
   /// Rescales accumulators and writes the destination register file;
   /// returns (global index, value) pairs of the produced activations.
   /// The view is into a member buffer, valid until the next call.
   std::span<const std::pair<std::uint32_t, std::int16_t>> write_back();
+  /// The event path's write-back: writes the mapped rows of
+  /// `layer_out` (the layer's activations from the functional pass)
+  /// into the destination register file, with write_back()'s
+  /// register-write charge.
+  void store_activations(std::span<const std::int16_t> layer_out);
 
   const EventCounts& events() const noexcept { return events_; }
   void reset_events() noexcept { events_ = EventCounts{}; }
@@ -238,6 +250,10 @@ class ProcessingElement {
 
   /// LNZD scan into a reusable buffer (clears, then fills).
   void scan_source_nonzeros_into(std::vector<Flit>& out);
+
+  /// The U phase's event charge for this layer's rows × rank MACs;
+  /// returns the MAC count.
+  std::size_t charge_u_macs();
 
   /// Slow path of step_w_consume(): pops the queue head and runs the
   /// LNZD-masked column MACs. At paper scale a PE maps only a handful
@@ -281,7 +297,7 @@ class ProcessingElement {
   std::size_t num_pes_;
   ArchParams params_;
   /// Kernel table bound at load_layer() (common/kernels.hpp): one
-  /// dispatch resolution per layer instead of one per MAC burst.
+  /// dispatch resolution per layer instead of one per kernel call.
   const KernelTable* kern_ = &kernels();
 
   PingPongRegFiles regfiles_;

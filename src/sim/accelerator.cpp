@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
+#include "common/kernels.hpp"
 #include "common/logging.hpp"
 #include "sim/result_arena.hpp"
 
@@ -25,7 +26,7 @@ SimResult AcceleratorSim::run(const QuantizedNetwork& network,
                               std::span<const float> input,
                               bool use_predictor) {
   // One-shot compile: the same slicing work the seed engine did per
-  // layer, done up front; validation stays on, like the seed engine.
+  // layer, done up front.
   const CompiledNetwork compiled(network, params_, use_predictor);
   return run(compiled, input, ValidationMode::kFull);
 }
@@ -44,54 +45,45 @@ const SimResult& AcceleratorSim::run(const CompiledNetwork& compiled,
           "CompiledNetwork is stale: the source network mutated after "
           "compilation (e.g. set_prediction_threshold) — recompile, or "
           "fetch through a ModelZoo");
-  const QuantizedNetwork& network = compiled.network();
   std::vector<std::int16_t>& input_scratch = arena.input_scratch();
-  network.quantize_input_into(input, input_scratch);
+  compiled.network().quantize_input_into(input, input_scratch);
 
-  // Reserving the compiled image's worst-case broadcast occupancy up
-  // front keeps every send() allocation-free regardless of input
-  // density — a no-op once the channel has seen this network.
+  // Reserving the compiled image's worst-case broadcast occupancy and
+  // layer width up front keeps every send() and the functional pass's
+  // scratch allocation-free regardless of input density — a no-op once
+  // the engine has seen this network.
   broadcast_.reserve(compiled.max_broadcast_flits());
+  const std::size_t width = compiled.max_layer_width();
+  nz_idx_.reserve(width);
+  v_scratch_.reserve(width);
+  mask_scratch_.reserve(width);
+  golden_.reserve(width);
 
   // Scatter the input across the PEs' source register files.
   for (auto& pe : pes_) pe.load_input(input_scratch);
 
-  // Golden reference, computed layer by layer alongside the simulation
-  // when validating.
-  const bool validate = validation == ValidationMode::kFull;
-  std::vector<std::int16_t> golden;
-  if (validate) golden.assign(input_scratch.begin(), input_scratch.end());
-
   if (trace_) trace_->begin_inference();
 
+  const bool validate = validation == ValidationMode::kFull;
   SimResult& out = arena.result();
   out.total_cycles = 0;
   out.layers.resize(compiled.num_layers());
+  std::span<const std::int16_t> act{input_scratch};
   for (std::size_t l = 0; l < compiled.num_layers(); ++l) {
     LayerSimResult& layer = out.layers[l];
-    run_layer_into(compiled, l, layer);
-
-    if (validate) {
-      const QuantizedLayerResult golden_layer =
-          network.forward_layer(l, golden, compiled.use_predictor());
-      ensures(layer.activations == golden_layer.activations,
-              "simulator diverged from the functional fixed-point model");
-      golden = golden_layer.activations;
-    }
-
+    run_layer_into(compiled, l, act, validate, layer);
     out.total_cycles += layer.total_cycles;
     for (auto& pe : pes_) pe.swap_regfiles();
+    act = layer.activations;
   }
-  // The simulated activations equal the golden ones whenever validation
-  // runs, so the output is the last layer's activations either way.
-  const std::vector<std::int16_t>& produced =
-      validate ? golden : out.layers.back().activations;
-  out.output.assign(produced.begin(), produced.end());
+  out.output.assign(act.begin(), act.end());
   return out;
 }
 
 void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
-                                    std::size_t l, LayerSimResult& result) {
+                                    std::size_t l,
+                                    std::span<const std::int16_t> act,
+                                    bool validate, LayerSimResult& result) {
   const QuantizedLayer& layer = compiled.network().layer(l);
   // The result slot may be reused storage from a previous inference:
   // reset every counter; activations is assign()ed below, which reuses
@@ -103,44 +95,63 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   result.events = EventCounts{};
   result.w_noc = NocStats{};
   result.v_noc = NocStats{};
-  result.nnz_inputs = 0;
   result.active_rows = 0;
+
+  // The layer's values from the one functional pass over the LNZD
+  // scan of its input. The event path takes them as its result; the
+  // per-cycle oracle recomputes them on its distributed datapath and,
+  // when validating, must match them.
+  const bool event = stepping_ == SteppingMode::kEvent;
+  nz_idx_.resize(act.size());
+  nz_idx_.resize(
+      kernels().nonzero_scan_i16(act.data(), act.size(), nz_idx_.data()));
+  result.nnz_inputs = nz_idx_.size();
+  if (event || validate) {
+    compiled.network().forward_layer_into(
+        l, act, nz_idx_, compiled.use_predictor(), v_scratch_,
+        mask_scratch_, event ? result.activations : golden_);
+  }
 
   for (auto& pe : pes_) {
     pe.reset_events();
     pe.load_layer(compiled.slice(l, pe.id()));
-    result.nnz_inputs += pe.scan_source_nonzeros().size();
   }
 
-  const bool event = stepping_ == SteppingMode::kEvent;
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
   if (predict) {
     result.v_cycles =
-        event ? event_core_.run_v_phase(
-                    pes_, v_tree_, broadcast_, layer.rank(),
-                    layer.in_fmt.frac_bits + layer.v->fmt.frac_bits,
-                    layer.mid_fmt.frac_bits, result)
+        event ? event_core_.run_v_phase(pes_, v_tree_, broadcast_,
+                                        v_scratch_, result)
               : simulate_v_phase(layer, result);
     std::uint64_t u_max = 0;
-    for (auto& pe : pes_)
-      u_max = std::max<std::uint64_t>(u_max, pe.run_u_phase());
+    for (auto& pe : pes_) {
+      u_max = std::max<std::uint64_t>(
+          u_max, event ? pe.charge_u_phase(mask_scratch_) : pe.run_u_phase());
+    }
     result.u_cycles = u_max + params_.pe_pipeline_stages;
   } else {
     for (auto& pe : pes_) pe.force_all_rows_active();
   }
 
   result.w_cycles =
-      event ? event_core_.run_w_phase(pes_, w_tree_, broadcast_,
-                                      compiled.max_broadcast_flits(), result)
+      event ? event_core_.run_w_phase(pes_, w_tree_, broadcast_, result)
             : simulate_w_phase(result);
   result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
 
-  // Gather the produced activations (and count computed rows).
-  result.activations.assign(layer.w.rows, 0);
-  for (auto& pe : pes_) {
-    for (const auto& [global, value] : pe.write_back())
-      result.activations[global] = value;
+  // Write back the produced activations (and count computed rows).
+  if (event) {
+    for (auto& pe : pes_) pe.store_activations(result.activations);
+  } else {
+    result.activations.assign(layer.w.rows, 0);
+    for (auto& pe : pes_) {
+      for (const auto& [global, value] : pe.write_back())
+        result.activations[global] = value;
+    }
+    ensures(!validate || result.activations == golden_,
+            "simulator diverged from the functional fixed-point model");
+  }
+  for (const auto& pe : pes_) {
     for (const std::uint8_t bit : pe.predictor_bits())
       result.active_rows += bit;
   }

@@ -18,18 +18,32 @@
 // row computes — this is exactly the EIE-style input-sparsity-only
 // baseline the paper calls uv_off.
 //
+// Every layer's values — V result, predictor mask, activations — come
+// from one vectorised functional pass (QuantizedNetwork::
+// forward_layer_into, the arithmetic AnalyticEngine also runs). The
+// simulator then models timing in one of two ways (SteppingMode):
+//
+//   kEvent    — the event core (sim/event_core.hpp) simulates the NoC
+//     and charges the PEs' event counters, taking every value from the
+//     functional pass: functional pass + simulated NoC;
+//   kPerCycle — the oracle steps every PE and router every cycle and
+//     runs the real distributed datapath (V MACs, tree reduction, U
+//     predictor, W MACs, write-back). With ValidationMode::kFull its
+//     activations are checked against the functional pass each layer,
+//     so every per-cycle == event comparison also proves that the
+//     datapath computes the functional values.
+//
 // Two entry points share the engine:
 //
 //   run(network, input, use_predictor) — compiles the network's per-PE
-//     slices for this one inference and cross-checks every layer
-//     against nn::QuantizedNetwork (the seed engine's behaviour);
+//     slices for this one inference and runs it with
+//     ValidationMode::kFull;
 //
 //   run(compiled, input, arena, mode) — the hot path: slices come from
 //     a shared read-only CompiledNetwork, the NoC and all PE scratch
-//     are reused in place, the SimResult lands in caller-owned storage
-//     (sim/result_arena.hpp), and the golden-model cross-check is a
-//     ValidationMode knob. With validation off the whole inference
-//     performs zero heap allocations in steady state.
+//     are reused in place, and the SimResult lands in caller-owned
+//     storage (sim/result_arena.hpp). The whole inference performs
+//     zero heap allocations in steady state.
 //
 // The inherited by-value run(compiled, input, mode) wraps the second
 // (see ExecutionEngine in sim/engine.hpp). Results are bit-identical
@@ -67,18 +81,20 @@ class AcceleratorSim final : public ExecutionEngine {
 
   using ExecutionEngine::run;
 
-  /// Runs one inference against a one-shot compiled image with full
-  /// validation — identical results to the compiled overloads. The
-  /// input is quantised with the network's input format, scattered
-  /// across the PEs, and the layers execute in sequence. Throws
-  /// InvariantError if the simulated activations ever diverge from
-  /// the functional model or the NoC deadlocks.
+  /// Runs one inference against a one-shot compiled image with
+  /// ValidationMode::kFull — identical results to the compiled
+  /// overloads. The input is quantised with the network's input
+  /// format, scattered across the PEs, and the layers execute in
+  /// sequence. Throws InvariantError if the NoC deadlocks or, under
+  /// the per-cycle oracle, the datapath diverges from the functional
+  /// model.
   SimResult run(const QuantizedNetwork& network,
                 std::span<const float> input, bool use_predictor);
 
   /// Runs one inference from a pre-compiled network into `arena` (see
-  /// ExecutionEngine::run): with ValidationMode::kOff the inference is
-  /// allocation-free in steady state.
+  /// ExecutionEngine::run), allocation-free in steady state.
+  /// `validation` acts only under SteppingMode::kPerCycle (see
+  /// ValidationMode).
   const SimResult& run(
       const CompiledNetwork& compiled, std::span<const float> input,
       ResultArena& arena,
@@ -105,7 +121,10 @@ class AcceleratorSim final : public ExecutionEngine {
   void reset_event_core_stats() noexcept { event_core_.reset_stats(); }
 
  private:
+  /// Runs layer `l` on input `act` (the previous layer's activations,
+  /// also held in the PEs' source register files).
   void run_layer_into(const CompiledNetwork& compiled, std::size_t l,
+                      std::span<const std::int16_t> act, bool validate,
                       LayerSimResult& result);
 
   std::uint64_t simulate_v_phase(const QuantizedLayer& layer,
@@ -123,6 +142,14 @@ class AcceleratorSim final : public ExecutionEngine {
   UpwardTree w_tree_;
   BroadcastChannel broadcast_;
   std::vector<bool> v_closed_;  ///< per-PE injector-closed scratch
+
+  // Functional-pass scratch, reserved to the compiled image's widest
+  // layer: the layer input's ascending nonzero indices, the V result,
+  // the predictor mask, and the oracle's golden activations.
+  std::vector<std::uint32_t> nz_idx_;
+  std::vector<std::int16_t> v_scratch_;
+  std::vector<std::uint8_t> mask_scratch_;
+  std::vector<std::int16_t> golden_;
 
   SteppingMode stepping_ = SteppingMode::kEvent;
   EventCore event_core_;

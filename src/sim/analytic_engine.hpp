@@ -51,8 +51,8 @@ class AnalyticEngine final : public ExecutionEngine {
 
   using ExecutionEngine::run;
 
-  /// Validation is ignored: this engine *is* the golden functional
-  /// model the cycle backend validates against.
+  /// Validation is ignored: this engine *is* the functional pass the
+  /// per-cycle oracle validates against.
   const SimResult& run(
       const CompiledNetwork& compiled, std::span<const float> input,
       ResultArena& arena,

@@ -17,11 +17,10 @@
 // term. keep_results=true additionally copies each SimResult into a
 // preallocated slot indexed by input.
 //
-// Past the batch's single validated inference
-// (BatchValidation::kFirstInference) a worker performs zero heap
-// allocations per inference unless it keeps results —
-// bench/sim_throughput asserts the marginal allocation count is
-// exactly 0 and tests/result_arena_test pins it.
+// Past its first inference a worker performs zero heap allocations
+// per inference unless it keeps results — bench/sim_throughput asserts
+// the marginal allocation count is exactly 0 and
+// tests/result_arena_test pins it.
 
 #include <cstdint>
 #include <optional>
@@ -36,27 +35,11 @@
 
 namespace sparsenn {
 
-/// How much golden-model cross-checking a batch performs. Results are
-/// bit-identical in every mode; validation only recomputes the
-/// functional model alongside the simulation and asserts equality.
-enum class BatchValidation {
-  kFull,            ///< every layer of every inference (debug)
-  kFirstInference,  ///< exactly ONE inference per batch is validated —
-                    ///< whichever worker claims the shared atomic flag
-                    ///< first — then every worker trusts the compiled
-                    ///< engine (default). Per-batch, not per-worker:
-                    ///< all workers run the same compiled image, so
-                    ///< one cross-check covers the batch and the
-                    ///< validation cost stays O(1) in the thread count.
-  kOff,             ///< no cross-checking
-};
-
 struct BatchOptions {
   std::size_t num_threads = 0;  ///< 0 = std::thread::hardware_concurrency()
   bool use_predictor = true;    ///< uv_on (paper) vs uv_off (EIE baseline)
   std::size_t max_samples = 0;  ///< 0 = the whole dataset
   bool keep_results = true;     ///< retain the per-input SimResults
-  BatchValidation validation = BatchValidation::kFirstInference;
   /// Cost backend each worker instantiates (sim/engine.hpp): kCycle
   /// for exact cycles/events, kAnalytic for bit-identical predictions
   /// at an order of magnitude more inferences per second. Unset means
@@ -95,10 +78,6 @@ struct BatchResult {
   std::uint64_t total_cycles = 0;
   std::size_t num_inferences = 0;
   std::size_t num_threads = 0;   ///< workers actually used
-  /// Inferences that ran with the golden cross-check on: total under
-  /// kFull, exactly 1 under kFirstInference (when any ran), 0 under
-  /// kOff — observability for the validation contract.
-  std::size_t validated_inferences = 0;
   double wall_seconds = 0.0;
   /// Classification error over the batch (percent); -1 when the
   /// dataset carries no labels.
@@ -116,7 +95,7 @@ class BatchRunner {
 
   /// Runs the first min(max_samples, data.size()) test images through
   /// the accelerator, compiling the network once for the whole batch.
-  /// Worker exceptions (e.g. a golden-model divergence) abort the
+  /// Worker exceptions (e.g. a NoC deadlock) abort the
   /// batch and rethrow on the calling thread.
   BatchResult run(const QuantizedNetwork& network, const Dataset& data) const;
 

@@ -58,6 +58,8 @@ CompiledNetwork::CompiledNetwork(const QuantizedNetwork& network,
     // nonzero input (≤ the layer's input width).
     max_broadcast_flits_ =
         std::max({max_broadcast_flits_, layer.w.cols, layer.rank()});
+    max_layer_width_ = std::max({max_layer_width_, max_broadcast_flits_,
+                                 layer.w.rows});
     for (std::size_t pe = 0; pe < params_.num_pes; ++pe) {
       Extents e{rows_pool_.size(), 0, w_pool_.size(), 0,
                 u_pool_.size(),    0, v_pool_.size(), 0};

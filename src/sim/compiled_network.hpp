@@ -91,6 +91,11 @@ class CompiledNetwork {
     return max_broadcast_flits_;
   }
 
+  /// The longest vector any layer's functional pass touches: the
+  /// widest layer input, output or rank. The simulator sizes its
+  /// functional-pass scratch with this once per run.
+  std::size_t max_layer_width() const noexcept { return max_layer_width_; }
+
   /// The read-only slice of layer `layer` mapped to PE `pe`.
   const PeLayerSlice& slice(std::size_t layer, std::size_t pe) const {
     return slices_.at(layer * params_.num_pes + pe);
@@ -109,6 +114,7 @@ class CompiledNetwork {
   std::uint64_t source_uid_;
   std::uint64_t source_epoch_;
   std::size_t max_broadcast_flits_ = 0;
+  std::size_t max_layer_width_ = 0;
 
   // Packed storage, layer-major then PE-major; never resized after
   // construction so the views below stay valid for the object's life.

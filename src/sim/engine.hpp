@@ -6,9 +6,10 @@
 //
 //   EngineKind::kCycle    — AcceleratorSim (sim/accelerator.hpp), the
 //     cycle-accurate 64-PE model: cycle-by-cycle NoC stepping, exact
-//     event counts, the paper's verification path. It advances time
-//     event-driven by default and per-cycle as the oracle
-//     (SteppingMode below);
+//     event counts, the paper's verification path. By default it is
+//     the functional pass plus an event-driven NoC simulation; the
+//     per-cycle oracle also runs the PEs' own datapath (SteppingMode
+//     below);
 //
 //   EngineKind::kAnalytic — AnalyticEngine (sim/analytic_engine.hpp):
 //     the functional fixed-point forward pass (bit-exact activations,
@@ -45,14 +46,15 @@ class CompiledNetwork;  // sim/compiled_network.hpp
 class ResultArena;      // sim/result_arena.hpp
 class TraceLog;         // sim/trace.hpp
 
-/// Whether run() cross-checks every layer's simulated activations
-/// against the functional fixed-point model. (The analytic backend
-/// *is* the functional model, so it treats both modes identically.)
+/// Whether the cycle engine's per-cycle oracle
+/// (SteppingMode::kPerCycle) checks each layer's activations from its
+/// distributed datapath against the functional fixed-point pass.
+/// Event stepping and the analytic backend take every value from that
+/// pass, so there is nothing to check and both modes run identically.
+/// Results are identical in both modes.
 enum class ValidationMode {
-  kFull,  ///< golden forward pass + ensures() per layer (tests, CLI)
-  kOff,   ///< trust the engine (batch/bench hot paths after an
-          ///< initial validated inference) — results are identical,
-          ///< only the redundant golden recomputation is skipped
+  kFull,  ///< oracle: functional pass + ensures() per layer
+  kOff,   ///< oracle: skip the functional pass
 };
 
 /// Cycle/energy results for one layer of one inference.
@@ -100,8 +102,10 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name);
 /// activations) — they differ only in wall-clock speed. The analytic
 /// engine has no such knob (it never ticks).
 enum class SteppingMode {
-  kPerCycle,  ///< every component visited every cycle (the oracle)
-  kEvent,     ///< event-driven wake-list core (sim/event_core.hpp)
+  kPerCycle,  ///< every component visited every cycle, values from
+              ///< the PE datapath (the oracle)
+  kEvent,     ///< event-driven wake-list core (sim/event_core.hpp),
+              ///< values from the functional pass
 };
 
 /// Interface every backend implements. A backend overrides the one

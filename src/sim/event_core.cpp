@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/check.hpp"
-#include "nn/quantized.hpp"
 
 namespace sparsenn {
 
@@ -23,7 +22,6 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
   scheduled_.reserve(n);
   idle_.reserve(n);
   pending_inj_.reserve(n);
-  merge_cursor_.reserve(n);
 }
 
 // ------------------------------------------------------------------ V phase
@@ -31,16 +29,17 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
 std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
                                      UpwardTree& tree,
                                      BroadcastChannel& broadcast,
-                                     std::size_t rank, int from_frac,
-                                     int mid_frac, LayerSimResult& result) {
+                                     std::span<const std::int16_t> v_result,
+                                     LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
   const std::size_t num_pes = pes.size();
+  const std::size_t rank = v_result.size();
 
-  // Phase start plus each PE's entire deterministic local-MAC burst,
-  // through the vectorised column kernel. The burst length is this
-  // PE's wake time — in the reference it computes (and does nothing
-  // else) for exactly that many cycles.
+  // Phase start plus the charge of each PE's entire deterministic
+  // local-MAC burst. The burst length is this PE's wake time — in the
+  // reference it computes (and does nothing else) for exactly that
+  // many cycles.
   wake_.resize(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {
     pes[i].start_v_phase();
@@ -118,18 +117,13 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
     }
     pending_.resize(kept);
 
-    // The root rescales the accumulated sum to the mid format and
-    // multicasts it; V results always find room (dedicated registers).
-    if (const auto out = tree.step(true)) {
-      Flit rescaled = *out;
-      rescaled.payload =
-          rescale_to_i16(out->payload, from_frac, mid_frac);
-      broadcast.send(rescaled);
-    }
+    // The root multicasts each reduced row; V results always find
+    // room (dedicated registers). The partial sums were never computed,
+    // so every PE receives the functional pass's value for the row.
+    if (const auto out = tree.step(true)) broadcast.send(*out);
     if (const auto delivered = broadcast.step()) {
       for (auto& pe : pes)
-        pe.receive_v_result(delivered->index,
-                            static_cast<std::int16_t>(delivered->payload));
+        pe.receive_v_result(delivered->index, v_result[delivered->index]);
       ++results_delivered;
     }
   }
@@ -155,19 +149,11 @@ void EventCore::do_pop(std::size_t g, std::uint64_t t) {
 std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
                                      UpwardTree& tree,
                                      BroadcastChannel& broadcast,
-                                     std::size_t max_flits,
                                      LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
   const std::size_t num_pes = pes.size();
   const std::uint64_t queue_depth = params_.act_queue_depth;
-
-  // The activation list scales with this input's nnz; size it by the
-  // image's structural bound (one flit per input element of its widest
-  // layer) so no later input or layer regrows it — the arena path's
-  // zero-allocation contract.
-  w_index_.reserve(max_flits);
-  w_value_.reserve(max_flits);
 
   // Phase start; record each PE's fixed per-pop datapath cost.
   pe_cost_.resize(num_pes);
@@ -192,33 +178,14 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
   std::sort(cost_.begin(), cost_.end(), std::greater<>{});
   const std::size_t num_groups = cost_.size();
 
-  // Everything the phase will deliver is known up front: the broadcast
-  // multicasts every injected flit to every PE, so the data pass at
-  // the end applies one list everywhere (int64 accumulation is exact
-  // and order-independent). Built ascending by index: PE i's flits
-  // carry indices slot·P + i in slot order, so walking slots outer and
-  // PEs inner merges them.
+  // How many activations the phase will deliver: every injected flit
+  // is multicast to every PE.
   pending_inj_.clear();
   std::size_t total = 0;
   for (std::size_t i = 0; i < num_pes; ++i) {
-    const std::size_t n = pes[i].w_injection_flits().size();
+    const std::size_t n = pes[i].w_injection_count();
     total += n;
     if (n != 0) pending_inj_.push_back(static_cast<std::uint32_t>(i));
-  }
-  w_index_.clear();
-  w_value_.clear();
-  merge_cursor_.assign(num_pes, 0);
-  for (std::size_t base = 0; w_index_.size() < total; base += num_pes) {
-    ensures(base < max_flits, "W injection list is not slot-ordered");
-    for (const std::uint32_t i : pending_inj_) {
-      const auto flits = pes[i].w_injection_flits();
-      std::uint32_t& c = merge_cursor_[i];
-      if (c < flits.size() && flits[c].index == base + i) {
-        w_index_.push_back(flits[c].index);
-        w_value_.push_back(static_cast<std::int16_t>(flits[c].payload));
-        ++c;
-      }
-    }
   }
   bool all_injected = pending_inj_.empty();
 
@@ -364,10 +331,9 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
           "broadcast delivered a different number of activations than "
           "were injected");
 
-  // The bulk data pass: every PE accumulates every delivered
-  // activation and charges the per-activation event totals.
-  for (ProcessingElement& pe : pes)
-    pe.apply_w_activations(w_index_, w_value_);
+  // Every PE consumed every delivered activation: charge the
+  // per-activation event totals in bulk.
+  for (ProcessingElement& pe : pes) pe.charge_w_activations(delivered_);
 
   stats_.cycles_ticked += cycles;
   stats_.events_executed += executed;

@@ -2,33 +2,36 @@
 // The event-driven cycle core (SteppingMode::kEvent) — wake-lists over
 // the same NoC the per-cycle loop drives.
 //
+// The layer's values — V result, predictor mask, activations — come
+// from the one functional pass (QuantizedNetwork::forward_layer_into)
+// that AcceleratorSim runs before the phases. The core simulates only
+// timing, and charges every PE the event counters the datapath would
+// have produced; each depends on counts only.
+//
 // The per-cycle reference visits every PE and router every cycle. This
 // core keeps the cycle-by-cycle NoC simulation (the trees and the
 // broadcast channel are the real objects, stepped for real) but stops
 // visiting components that provably have nothing to do:
 //
 //   V phase — every PE's local column-MAC burst is a deterministic
-//     number of cycles known at phase start, so the whole burst runs
-//     up front through the vectorised kernel and each PE carries a
-//     wake time. Until the earliest wake nothing injects, so the phase
-//     opens with one jump there; after that the cycle loop only walks
-//     the wake-list of PEs whose time has come. When every awake PE is
-//     credit-blocked and the tree's last step was provably quiet (no
-//     router decision, not even a cancelled one, and no closure
-//     propagation — see UpwardTree::last_step_quiet), the loop jumps
-//     straight to the next wake time.
+//     number of cycles known at phase start, so the whole burst is
+//     charged up front (ProcessingElement::burst_v_compute, no MACs)
+//     and each PE carries a wake time. The tree reduces zero partial
+//     sums (its timing never reads a payload) and every PE receives
+//     the functional pass's V result. Until the earliest wake nothing
+//     injects, so the phase opens with one jump there; after that the
+//     cycle loop only walks the wake-list of PEs whose time has come.
+//     When every awake PE is credit-blocked and the tree's last step
+//     was provably quiet (no router decision, not even a cancelled
+//     one, and no closure propagation — see
+//     UpwardTree::last_step_quiet), the loop jumps straight to the
+//     next wake time.
 //
-//   W phase — PE timing is decoupled from PE data. Every delivered
-//     activation reaches every PE and int64 accumulation is exact and
-//     order-independent, so the datapath work and its event counters
-//     are applied in one bulk pass per PE at phase end
-//     (ProcessingElement::apply_w_activations): the phase merges every
-//     PE's injection list once into a single ascending (index, value)
-//     list, shared by all PEs, and each PE walks it once per
-//     predicted-active row (row-outer, accumulator in a register, the
-//     W row read in address order). Meanwhile the cycle loop
-//     runs a compact queue-timing model over *cost groups*: every PE
-//     sees the same delivery stream and pops at a fixed per-phase
+//   W phase — every delivered activation reaches every PE, so each PE
+//     is charged the per-activation event totals in bulk at phase end
+//     (ProcessingElement::charge_w_activations). Meanwhile the cycle
+//     loop runs a compact queue-timing model over *cost groups*: every
+//     PE sees the same delivery stream and pops at a fixed per-phase
 //     cost, so PEs with equal cost have identical pop schedules and
 //     collapse into one modelled group. Pop times are monotone in the
 //     cost, so the fullest queue (the root's credit view) is always
@@ -47,7 +50,7 @@
 // tests/engine_equivalence_test.cpp pin it.
 //
 // Every pass runs on the calling thread: the per-PE passes (phase
-// starts, MAC bursts, the W data pass) are plain loops, and the engine
+// starts, burst and W charges) are plain loops, and the engine
 // performs no allocation in steady state (the arena path's
 // zero-allocation contract covers the event core). Parallelism lives
 // one level up, across inferences (BatchRunner, the serving workers).
@@ -89,26 +92,24 @@ class EventCore {
   explicit EventCore(const ArchParams& params);
 
   /// Event-driven V phase: identical contract and observables to
-  /// AcceleratorSim::simulate_v_phase. `from_frac`/`mid_frac` are the
-  /// root rescale formats. Fills result.v_noc (including the downward
-  /// multicast hops) and returns the phase cycles including the PE
-  /// pipeline drain.
+  /// AcceleratorSim::simulate_v_phase. `v_result` is the layer's V
+  /// result from the functional pass (one word per rank row), which
+  /// every PE receives as its row is delivered. Fills result.v_noc
+  /// (including the downward multicast hops) and returns the phase
+  /// cycles including the PE pipeline drain.
   std::uint64_t run_v_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
-                            std::size_t rank, int from_frac, int mid_frac,
+                            std::span<const std::int16_t> v_result,
                             LayerSimResult& result);
 
-  /// Event-driven W phase: identical contract and observables to
+  /// Event-driven W phase: identical timing and counters to
   /// AcceleratorSim::simulate_w_phase (start_w_phase through the last
-  /// drained cycle plus the bulk data pass). `max_flits` bounds the
-  /// flits any layer of the compiled image can inject — its widest
-  /// layer input (CompiledNetwork::max_broadcast_flits) — and sizes the
-  /// shared activation list once, so steady-state inferences stay
-  /// allocation-free. Fills result.w_noc and returns the phase cycles
-  /// including the PE pipeline drain.
+  /// drained cycle plus the bulk event charge); it computes no value.
+  /// Fills result.w_noc and returns the phase cycles including the PE
+  /// pipeline drain.
   std::uint64_t run_w_phase(std::span<ProcessingElement> pes,
                             UpwardTree& tree, BroadcastChannel& broadcast,
-                            std::size_t max_flits, LayerSimResult& result);
+                            LayerSimResult& result);
 
   const Stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = Stats{}; }
@@ -128,10 +129,6 @@ class EventCore {
   std::vector<std::uint32_t> pending_;   ///< open injectors, ascending
 
   // ---- W phase scratch (the cost-group queue-timing model) ----
-  /// The phase's activations, ascending by index: the data pass list.
-  std::vector<std::uint32_t> w_index_;
-  std::vector<std::int16_t> w_value_;
-  std::vector<std::uint32_t> merge_cursor_;  ///< per-PE, building the list
   std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop
   std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
   std::vector<std::uint64_t> pops_;      ///< per-group pops so far

@@ -9,9 +9,9 @@
 // ExecutionEngine::run(compiled, input, arena, mode) — the one virtual
 // entry point every backend implements — which refills it in place;
 // reserve(compiled) pre-sizes every pool from the compiled image's
-// layer dimensions, so with ValidationMode::kOff the whole inference
-// performs zero heap allocations in steady state (bench/sim_throughput
-// and tests/result_arena_test assert exactly 0).
+// layer dimensions, so the whole inference performs zero heap
+// allocations in steady state (bench/sim_throughput and
+// tests/result_arena_test assert exactly 0).
 //
 // The arena is single-owner scratch, exactly like the engine it feeds:
 // one arena per worker thread (every BatchRunner worker and every
@@ -20,10 +20,6 @@
 // overwritten by the next run — fold it into an accumulator before the
 // next call (the batch path), or copy it out if it must survive. The
 // by-value ExecutionEngine::run does the latter with a fresh arena.
-//
-// Validation note: ValidationMode::kFull recomputes the golden
-// functional model alongside the simulation, which allocates per layer
-// by design; the zero-allocation guarantee applies to kOff runs.
 
 #include <cstdint>
 #include <vector>

@@ -202,37 +202,6 @@ TEST(BatchRunner, AggregateOnlyModeMatchesKeepResults) {
   }
 }
 
-TEST(BatchRunner, FirstInferenceValidationIsPerBatchNotPerWorker) {
-  // kFirstInference must validate exactly ONE inference per batch —
-  // the documented contract — not one per worker thread. With 8
-  // workers a per-worker flag would report 8 here.
-  const Fixture f = make_batch_fixture(16, /*seed=*/21);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    BatchOptions options;
-    options.num_threads = threads;
-    options.validation = BatchValidation::kFirstInference;
-    const BatchRunner runner(tiny_arch(), options);
-    const BatchResult result = runner.run(f.network, f.data);
-    EXPECT_EQ(result.validated_inferences, 1u) << threads << " threads";
-  }
-}
-
-TEST(BatchRunner, ValidationModesCountValidatedInferences) {
-  const Fixture f = make_batch_fixture(10, /*seed=*/22);
-  BatchOptions options;
-  options.num_threads = 4;
-
-  options.validation = BatchValidation::kFull;
-  EXPECT_EQ(BatchRunner(tiny_arch(), options).run(f.network, f.data)
-                .validated_inferences,
-            10u);
-
-  options.validation = BatchValidation::kOff;
-  EXPECT_EQ(BatchRunner(tiny_arch(), options).run(f.network, f.data)
-                .validated_inferences,
-            0u);
-}
-
 TEST(BatchRunner, UnlabeledDatasetRunsWithoutErrorRate) {
   Fixture f = make_batch_fixture(6, /*seed=*/29);
   f.data.labels.clear();  // inputs only — still simulable

@@ -166,29 +166,6 @@ TEST_P(CompiledBatchThreads, SharedAcrossWorkersMatchesFreshRuns) {
 INSTANTIATE_TEST_SUITE_P(Threads, CompiledBatchThreads,
                          ::testing::Values(1, 2, 8));
 
-TEST(CompiledEngine, BatchValidationModesAreBitIdentical) {
-  const Fixture f = make_batch_fixture(10, /*seed=*/41);
-  std::vector<BatchResult> runs;
-  for (const BatchValidation v :
-       {BatchValidation::kFull, BatchValidation::kFirstInference,
-        BatchValidation::kOff}) {
-    BatchOptions options;
-    options.num_threads = 2;
-    options.validation = v;
-    runs.push_back(BatchRunner(tiny_arch(), options).run(f.network, f.data));
-  }
-  const BatchResult& reference = runs.front();
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].results.size(), reference.results.size());
-    for (std::size_t i = 0; i < reference.results.size(); ++i)
-      EXPECT_EQ(runs[r].results[i], reference.results[i])
-          << "mode " << r << " input " << i;
-    EXPECT_EQ(runs[r].total_cycles, reference.total_cycles);
-    EXPECT_EQ(runs[r].total_events, reference.total_events);
-    EXPECT_EQ(runs[r].error_rate_percent, reference.error_rate_percent);
-  }
-}
-
 TEST(CompiledEngine, MismatchedArchitectureIsRejected) {
   Rng rng{5};
   const QuantizedNetwork q = seeded_network(rng);

@@ -231,6 +231,80 @@ TEST(ProcessingElement, VAndUPhasesReproducePredictorBits) {
   }
 }
 
+// The event path's charges against the datapath they stand in for: a
+// PE that steps its V MACs one cycle at a time, predicts its own bits
+// and consumes every activation must end with the same counters,
+// cursors, predictor bits and destination register file as a PE that
+// charges the V burst in two pieces, takes its bits from the golden
+// mask, charges the W activations in bulk and stores the golden
+// activations.
+TEST(ProcessingElement, ChargesMatchTheDatapath) {
+  PeFixture f;
+  const QuantizedLayer& layer = f.quantized->layer(0);
+  const Vector x{0.9f, 0.0f, 0.4f, 0.2f, 0.0f, 0.7f, 0.1f, 0.3f};
+  const auto qx = f.quantized->quantize_input(x);
+  const QuantizedLayerResult golden =
+      f.quantized->forward_layer(0, qx, /*use_predictor=*/true);
+  std::vector<Flit> acts;
+  for (std::size_t i = 0; i < qx.size(); ++i)
+    if (qx[i] != 0)
+      acts.push_back(flit(static_cast<std::uint32_t>(i), qx[i]));
+
+  for (std::size_t pe_id = 0; pe_id < f.params.num_pes; ++pe_id) {
+    const OwnedPeSlice slice = make_pe_slice(layer, f.params, pe_id, true);
+    ProcessingElement stepped(pe_id, f.params);
+    ProcessingElement charged(pe_id, f.params);
+    for (ProcessingElement* pe : {&stepped, &charged}) {
+      pe->load_layer(slice.view);
+      pe->load_input(qx);
+      pe->start_v_phase();
+    }
+
+    while (!stepped.v_compute_done()) stepped.step_v_compute();
+    // Split mid-column where the burst allows (rank 2: an odd split).
+    const std::size_t burst = charged.v_burst_cycles();
+    const std::size_t first = std::min(burst, burst / 2 + 1);
+    charged.burst_v_compute(first);
+    EXPECT_EQ(charged.v_burst_cycles(), burst - first);
+    charged.burst_v_compute(charged.v_burst_cycles());
+    EXPECT_TRUE(charged.v_compute_done());
+
+    for (std::uint32_t row = 0; row < layer.rank(); ++row) {
+      stepped.receive_v_result(row, golden.v_result[row]);
+      charged.receive_v_result(row, golden.v_result[row]);
+    }
+    EXPECT_EQ(charged.charge_u_phase(golden.mask), stepped.run_u_phase());
+    ASSERT_EQ(charged.predictor_bits().size(),
+              stepped.predictor_bits().size());
+    for (std::size_t r = 0; r < stepped.predictor_bits().size(); ++r)
+      EXPECT_EQ(charged.predictor_bits()[r], stepped.predictor_bits()[r])
+          << "PE " << pe_id << " row " << r;
+
+    stepped.start_w_phase();
+    charged.start_w_phase();
+    for (const Flit& a : acts) {
+      stepped.enqueue_activation(a);
+      while (stepped.step_w_consume()) {
+      }
+    }
+    charged.charge_w_activations(acts.size());
+    (void)stepped.write_back();
+    charged.store_activations(golden.activations);
+
+    EXPECT_EQ(charged.events(), stepped.events()) << "PE " << pe_id;
+    stepped.swap_regfiles();
+    charged.swap_regfiles();
+    const auto stepped_nz = stepped.scan_source_nonzeros();
+    const std::vector<Flit> want(stepped_nz.begin(), stepped_nz.end());
+    const auto got = charged.scan_source_nonzeros();
+    ASSERT_EQ(got.size(), want.size()) << "PE " << pe_id;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index);
+      EXPECT_EQ(got[i].payload, want[i].payload);
+    }
+  }
+}
+
 TEST(ProcessingElement, CapacityViolationSurfaces) {
   ArchParams p = small_params();
   p.w_mem_kb_per_pe = 1;  // 512 words only

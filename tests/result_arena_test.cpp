@@ -1,8 +1,7 @@
 // Tests for src/sim/result_arena: the arena entry point of
 // AcceleratorSim must be a pure storage optimisation — SimResults
-// bit-identical to the heap-returning overload — and, with validation
-// off, exactly zero heap allocations per steady-state inference (the
-// last two ROADMAP perf items). Allocations are counted by the shared
+// bit-identical to the heap-returning overload — and exactly zero heap
+// allocations per steady-state inference. Allocations are counted by the shared
 // common/alloc_counter.hpp hook — the same definition
 // bench/sim_throughput measures with.
 
@@ -100,7 +99,7 @@ TEST(ResultArena, ReusedAcrossDifferentNetworksStaysCorrect) {
 TEST(ResultArena, BatchAggregateOnlyPathIsMarginallyAllocationFree) {
   // The keep_results=false BatchRunner path folds arena-held results
   // into per-worker accumulators. Setup (threads, simulators, arenas,
-  // the first validated inference) allocates; the marginal cost of
+  // the first inference) allocates; the marginal cost of
   // each further inference must be exactly zero — measured by running
   // the same batch at two sizes and comparing allocation totals.
   const Fixture f = make_batch_fixture(24, /*seed=*/99);
@@ -125,12 +124,16 @@ TEST(ResultArena, BatchAggregateOnlyPathIsMarginallyAllocationFree) {
       << "12 extra inferences must not allocate (marginal cost 0)";
 }
 
-TEST(ResultArena, PaperScaleUvOnInferencesAreAllocationFree) {
-  // The paper's 64-PE array at hidden width 1024, UV on: inputs differ
-  // in how many distinct per-PE W cost groups (predicted-active row
+TEST(ResultArena, PaperScaleInferencesAreAllocationFree) {
+  // The paper's 64-PE array at hidden width 1024, UV on and off, with
+  // validation off and on (event stepping takes every value from the
+  // functional pass, so kFull adds no work there). Inputs differ in
+  // how many distinct per-PE W cost groups (predicted-active row
   // counts) they produce, so a later input can need more timing-model
-  // groups than any before it. After one warm-up inference, 32 more
-  // distinct inputs must not allocate at all.
+  // groups than any before it; and the warm-up input is far sparser
+  // than the rest, so scratch sized from what the first input needed
+  // (nonzero lists, V and mask buffers) would have to grow. After the
+  // warm-up, 33 more distinct inputs must not allocate at all.
   Rng rng{42};
   Network net{five_layer_topology(1024), rng};
   for (std::size_t l = 0; l < net.num_hidden_layers(); ++l) {
@@ -147,22 +150,31 @@ TEST(ResultArena, PaperScaleUvOnInferencesAreAllocationFree) {
     for (float& v : x)
       v = rng.bernoulli(0.6) ? 0.0f
                              : static_cast<float>(rng.uniform(0.0, 1.0));
+  std::vector<float> warmup(784, 0.0f);
+  for (std::size_t i = 0; i < warmup.size(); i += 50)
+    warmup[i] = static_cast<float>(rng.uniform(0.0, 1.0));
 
   const ArchParams arch = ArchParams::paper();
-  const CompiledNetwork compiled(quantized, arch, /*use_predictor=*/true);
-  AcceleratorSim sim(arch);
-  ResultArena arena(compiled);
-  (void)sim.run(compiled, inputs[0], arena, ValidationMode::kOff);
+  for (const bool uv_on : {true, false}) {
+    const CompiledNetwork compiled(quantized, arch, uv_on);
+    for (const ValidationMode mode :
+         {ValidationMode::kOff, ValidationMode::kFull}) {
+      AcceleratorSim sim(arch);
+      ResultArena arena(compiled);
+      (void)sim.run(compiled, warmup, arena, mode);
 
-  const std::uint64_t before = g_allocs.load();
-  std::uint64_t cycles = 0;
-  for (std::size_t i = 1; i < inputs.size(); ++i)
-    cycles += sim.run(compiled, inputs[i], arena, ValidationMode::kOff)
-                  .total_cycles;
-  const std::uint64_t allocs = g_allocs.load() - before;
-  EXPECT_EQ(allocs, 0u) << "over " << inputs.size() - 1
-                        << " marginal inferences";
-  EXPECT_GT(cycles, 0u);
+      const std::uint64_t before = g_allocs.load();
+      std::uint64_t cycles = 0;
+      for (const std::vector<float>& x : inputs)
+        cycles += sim.run(compiled, x, arena, mode).total_cycles;
+      const std::uint64_t allocs = g_allocs.load() - before;
+      const bool full = mode == ValidationMode::kFull;
+      EXPECT_EQ(allocs, 0u) << "over " << inputs.size()
+                            << " marginal inferences, uv " << uv_on
+                            << (full ? " (kFull)" : " (kOff)");
+      EXPECT_GT(cycles, 0u);
+    }
+  }
 }
 
 }  // namespace
