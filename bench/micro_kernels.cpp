@@ -32,7 +32,6 @@ using namespace sparsenn;
 struct KernelInputs {
   std::vector<std::int16_t> a;
   std::vector<std::int16_t> b;
-  std::vector<std::int64_t> acc;
   std::vector<std::uint32_t> idx;
   std::vector<float> floats;
   std::vector<std::int16_t> out16;
@@ -50,7 +49,6 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
     in.a[i] = keep(rng) ? static_cast<std::int16_t>(val(rng)) : 0;
     in.b[i] = static_cast<std::int16_t>(val(rng));
   }
-  in.acc.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i)
     if (in.a[i] != 0) in.idx.push_back(static_cast<std::uint32_t>(i));
   std::uniform_real_distribution<float> f(-40.0f, 40.0f);
@@ -64,20 +62,6 @@ KernelInputs make_kernel_inputs(std::size_t n, double density) {
 const KernelTable& table_for(bool dispatched) {
   return dispatched ? kernels() : scalar_kernels();
 }
-
-void BM_KernelAxpy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& k = table_for(state.range(1) != 0);
-  KernelInputs in = make_kernel_inputs(n, 1.0);
-  for (auto _ : state) {
-    k.axpy_i16_i64(in.acc.data(), in.a.data(), 1234, n);
-    benchmark::DoNotOptimize(in.acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(to_string(k.isa));
-}
-BENCHMARK(BM_KernelAxpy)->ArgsProduct({{256}, {0, 1}});
 
 void BM_KernelSparseMatvec(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -85,9 +85,8 @@ void quantize_scalar(const float* in, std::size_t n, float scale,
 }
 
 constexpr KernelTable kScalarTable{
-    SimdIsa::kScalar,     axpy_scalar,    sparse_matvec_scalar,
-    scan_scalar,          predict_bits_scalar, mac_col_scalar,
-    quantize_scalar,
+    SimdIsa::kScalar, sparse_matvec_scalar, scan_scalar, predict_bits_scalar,
+    mac_col_scalar, quantize_scalar,
 };
 
 // --------------------------------------------------------------- AVX2
@@ -312,9 +311,8 @@ __attribute__((target("avx2"))) void quantize_avx2(const float* in,
 }
 
 constexpr KernelTable kAvx2Table{
-    SimdIsa::kAvx2,     axpy_avx2,      sparse_matvec_avx2,
-    scan_avx2,          predict_bits_avx2, mac_col_scalar,
-    quantize_avx2,
+    SimdIsa::kAvx2, sparse_matvec_avx2, scan_avx2, predict_bits_avx2,
+    mac_col_scalar, quantize_avx2,
 };
 
 // ------------------------------------------------------------- SSE4.2
@@ -427,9 +425,8 @@ __attribute__((target("sse4.2"))) void quantize_sse42(const float* in,
 }
 
 constexpr KernelTable kSse42Table{
-    SimdIsa::kSse42,    axpy_sse42,     sparse_matvec_sse42,
-    scan_sse42,         predict_bits_sse42, mac_col_scalar,
-    quantize_sse42,
+    SimdIsa::kSse42, sparse_matvec_sse42, scan_sse42, predict_bits_sse42,
+    mac_col_scalar, quantize_sse42,
 };
 
 #endif  // SPARSENN_X86
@@ -557,9 +554,8 @@ void quantize_neon(const float* in, std::size_t n, float scale,
 }
 
 constexpr KernelTable kNeonTable{
-    SimdIsa::kNeon,     axpy_neon,      sparse_matvec_neon,
-    scan_neon,          predict_bits_neon, mac_col_scalar,
-    quantize_neon,
+    SimdIsa::kNeon, sparse_matvec_neon, scan_neon, predict_bits_neon,
+    mac_col_scalar, quantize_neon,
 };
 
 #endif  // SPARSENN_NEON

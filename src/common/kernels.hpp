@@ -11,8 +11,7 @@
 // implementations accumulate in exact 64-bit integer arithmetic, so
 // every table produces bit-identical results — tests/kernels_test.cpp
 // pins this property across widths, alignments, ragged tails and int16
-// saturation extremes. Apart from axpy_i16_i64, the building block of
-// the sparse matvec, the table holds only entries a product path
+// saturation extremes. The table holds only entries a product path
 // calls.
 
 #include <cstddef>
@@ -26,11 +25,6 @@ namespace sparsenn {
 /// in every table.
 struct KernelTable {
   SimdIsa isa = SimdIsa::kScalar;
-
-  /// acc[j] += w[j]·a for j < n: one column MAC sweep, the building
-  /// block of sparse_matvec_i16_i64.
-  void (*axpy_i16_i64)(std::int64_t* acc, const std::int16_t* w,
-                       std::int16_t a, std::size_t n);
 
   /// Whole input-sparse column-major matvec:
   /// acc[j] += Σ_i cols[idx[i]·m + j] · act[idx[i]] for j < m, where

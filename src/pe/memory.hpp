@@ -24,7 +24,12 @@ namespace sparsenn {
 class SramBank {
  public:
   SramBank(std::string name, std::size_t capacity_kb)
-      : name_(std::move(name)), capacity_words_(capacity_kb * 1024 / 2) {}
+      : name_(std::move(name)), capacity_words_(words_in_kb(capacity_kb)) {}
+
+  /// 16-bit words a bank of `capacity_kb` KB holds.
+  static constexpr std::size_t words_in_kb(std::size_t capacity_kb) noexcept {
+    return capacity_kb * 1024 / 2;
+  }
 
   const std::string& name() const noexcept { return name_; }
   std::size_t capacity_words() const noexcept { return capacity_words_; }

@@ -39,7 +39,6 @@ void ProcessingElement::load_layer(const PeLayerSlice& slice) {
   }
   predictor_bits_.assign(slice.global_rows.size(), 0);
   v_results_.assign(slice.rank, 0);
-  v_results_received_ = 0;
 
   // Upper-bound the per-phase scratch so the phases below never grow a
   // buffer mid-inference: the scan outputs hold at most one flit per
@@ -69,7 +68,6 @@ void ProcessingElement::load_input(
        ++slot) {
     regfiles_.source().write(slot, full_input[global_index_of_slot(slot)]);
   }
-  events_.act_reg_writes += regfiles_.source().size();
 }
 
 void ProcessingElement::swap_regfiles() { regfiles_.swap(); }
@@ -116,23 +114,7 @@ void ProcessingElement::start_v_phase() {
   v_rank_cursor_ = 0;
   v_inject_cursor_ = 0;
   v_results_.assign(slice_.rank, 0);
-  v_results_received_ = 0;
   events_.lnzd_scans += v_inputs_.size();
-}
-
-void ProcessingElement::burst_v_compute(std::size_t k) {
-  // Every burst cycle is one MAC, one V-mem read and one active cycle,
-  // and each finished column one activation-register read, exactly
-  // like k step_v_compute() calls.
-  events_.v_mem_reads += k;
-  events_.macs += k;
-  events_.pe_active_cycles += k;
-  v_mem_.note_reads(k);
-  if (k == 0) return;
-  const std::size_t pos = v_rank_cursor_ + k;
-  v_input_cursor_ += pos / slice_.rank;
-  events_.act_reg_reads += pos / slice_.rank;
-  v_rank_cursor_ = pos % slice_.rank;
 }
 
 Flit ProcessingElement::peek_partial() const {
@@ -152,7 +134,6 @@ void ProcessingElement::receive_v_result(std::uint32_t row,
                                          std::int16_t value) {
   expects(row < v_results_.size(), "V result row out of range");
   v_results_[row] = value;
-  ++v_results_received_;
   ++events_.queue_ops;  // results land via the activation queue
 }
 
@@ -173,19 +154,6 @@ std::size_t ProcessingElement::run_u_phase() {
     for (std::size_t r = 0; r < rows; ++r)
       predictor_bits_[r] = 0 > slice_.predictor_threshold_raw ? 1 : 0;
   }
-  return charge_u_macs();
-}
-
-std::size_t ProcessingElement::charge_u_phase(
-    std::span<const std::uint8_t> layer_mask) {
-  ensures(slice_.has_predictor, "U phase requires a predictor slice");
-  for (std::size_t r = 0; r < slice_.global_rows.size(); ++r)
-    predictor_bits_[r] = layer_mask[slice_.global_rows[r]];
-  return charge_u_macs();
-}
-
-std::size_t ProcessingElement::charge_u_macs() {
-  const std::size_t rows = slice_.global_rows.size();
   const std::size_t macs = rows * slice_.rank;
   u_mem_.note_reads(macs);
   events_.u_mem_reads += macs;
@@ -226,16 +194,6 @@ void ProcessingElement::pop_injection() {
   ++events_.act_reg_reads;
 }
 
-void ProcessingElement::charge_w_activations(std::size_t n) {
-  const std::size_t n_active = active_local_rows_.size();
-  w_mem_.note_reads(n * n_active);
-  events_.w_mem_reads += n * n_active;
-  events_.macs += n * n_active;
-  events_.queue_ops += 2 * n;  // push + pop per activation
-  events_.pe_active_cycles +=
-      n * std::max<std::size_t>(std::size_t{1}, n_active);
-}
-
 std::span<const std::pair<std::uint32_t, std::int16_t>>
 ProcessingElement::write_back() {
   regfiles_.destination().clear();
@@ -257,16 +215,6 @@ ProcessingElement::write_back() {
     write_back_buffer_.emplace_back(global, value);
   }
   return write_back_buffer_;
-}
-
-void ProcessingElement::store_activations(
-    std::span<const std::int16_t> layer_out) {
-  regfiles_.destination().clear();
-  for (const std::uint32_t global : slice_.global_rows)
-    regfiles_.destination().write(static_cast<std::size_t>(global) /
-                                      num_pes_,
-                                  layer_out[global]);
-  events_.act_reg_writes += slice_.global_rows.size();
 }
 
 }  // namespace sparsenn

@@ -19,11 +19,10 @@
 //
 // The cycle loop lives in src/sim; the PE exposes per-cycle step
 // methods and precise event counters. All arithmetic is int16/int64
-// fixed point and must match nn::QuantizedNetwork bit-for-bit. The
-// per-cycle oracle runs this datapath. The event core instead calls
-// the charge_* methods and store_activations(): they keep every cursor
-// and counter the timing needs and take the layer's values from the
-// functional pass.
+// fixed point and must match nn::QuantizedNetwork bit-for-bit. Only
+// the per-cycle oracle runs PEs: the event-stepped engine derives the
+// same counters in closed form from the functional pass's per-PE
+// counts and never touches one (sim/accelerator.cpp).
 //
 // A PeLayerSlice is a bundle of read-only views into storage owned by
 // whoever compiled the network (sim::CompiledNetwork, or an
@@ -122,21 +121,6 @@ class ProcessingElement {
       ++events_.act_reg_reads;
     }
   }
-  /// Local V MAC cycles left before this PE's compute is done: the
-  /// deterministic MAC burst the event core runs up front, and this
-  /// PE's V-phase wake time there (sim/event_core.hpp).
-  std::size_t v_burst_cycles() const noexcept {
-    return slice_.rank == 0
-               ? 0
-               : (v_inputs_.size() - v_input_cursor_) * slice_.rank -
-                     v_rank_cursor_;
-  }
-  /// Charges exactly `k` step_v_compute() cycles in one shot: cursors
-  /// and every event counter end bit-identical to k single steps, but
-  /// no MAC runs, so the partial sums stay zero. The event core's V
-  /// phase takes the V result from the functional pass, and the tree
-  /// timing never reads a payload. Precondition: k <= v_burst_cycles().
-  void burst_v_compute(std::size_t k);
   /// Partial-sum injection (after local compute): one flit per row.
   bool has_partial_ready() const noexcept {
     return v_compute_done() && v_inject_cursor_ < v_partials_.size();
@@ -148,22 +132,11 @@ class ProcessingElement {
   }
   /// Broadcast V result arriving from the root (already rescaled).
   void receive_v_result(std::uint32_t row, std::int16_t value);
-  std::size_t v_results_received() const noexcept {
-    return v_results_received_;
-  }
-  std::span<const std::int16_t> v_results() const noexcept {
-    return v_results_;
-  }
 
   // ---- U phase ----
   /// Runs the whole U phase; returns the exact cycle count this PE
   /// needs (rows × rank MACs at one per cycle).
   std::size_t run_u_phase();
-  /// The U phase without its MACs: each mapped row's predictor bit is
-  /// read from `layer_mask` (the functional pass's mask over all the
-  /// layer's rows) and the counters and cycle count are those of
-  /// run_u_phase().
-  std::size_t charge_u_phase(std::span<const std::uint8_t> layer_mask);
   /// uv_off: mark every mapped row active instead of predicting.
   void force_all_rows_active();
   std::span<const std::uint8_t> predictor_bits() const noexcept {
@@ -203,36 +176,10 @@ class ProcessingElement {
   bool w_done() const noexcept {
     return injections_done() && queue_.empty() && w_busy_cycles_ == 0;
   }
-  /// Size of the W-phase injection list built by start_w_phase(),
-  /// cursor independent — the event core sums it over every PE to
-  /// know how many activations the phase will deliver.
-  std::size_t w_injection_count() const noexcept {
-    return w_injections_.size();
-  }
-  /// Predicted-active mapped rows this layer (valid after
-  /// start_w_phase()); the per-delivered-activation datapath occupancy
-  /// is max(1, this).
-  std::size_t w_active_row_count() const noexcept {
-    return active_local_rows_.size();
-  }
-  /// Charges the event totals of consuming `n` delivered activations
-  /// (2 queue ops, max(1, active) busy cycles, active W-mem reads and
-  /// MACs each) with no MAC: the counters the per-cycle consume steps
-  /// would end with, since every one of them depends on counts only.
-  /// The event core pairs this with its cycle-timing model, which
-  /// never touches the PE, and takes the values from the functional
-  /// pass (store_activations).
-  void charge_w_activations(std::size_t n);
-
   /// Rescales accumulators and writes the destination register file;
   /// returns (global index, value) pairs of the produced activations.
   /// The view is into a member buffer, valid until the next call.
   std::span<const std::pair<std::uint32_t, std::int16_t>> write_back();
-  /// The event path's write-back: writes the mapped rows of
-  /// `layer_out` (the layer's activations from the functional pass)
-  /// into the destination register file, with write_back()'s
-  /// register-write charge.
-  void store_activations(std::span<const std::int16_t> layer_out);
 
   const EventCounts& events() const noexcept { return events_; }
   void reset_events() noexcept { events_ = EventCounts{}; }
@@ -250,10 +197,6 @@ class ProcessingElement {
 
   /// LNZD scan into a reusable buffer (clears, then fills).
   void scan_source_nonzeros_into(std::vector<Flit>& out);
-
-  /// The U phase's event charge for this layer's rows × rank MACs;
-  /// returns the MAC count.
-  std::size_t charge_u_macs();
 
   /// Slow path of step_w_consume(): pops the queue head and runs the
   /// LNZD-masked column MACs. At paper scale a PE maps only a handful
@@ -316,7 +259,6 @@ class ProcessingElement {
   std::size_t v_rank_cursor_ = 0;     ///< which MAC within the column
   std::size_t v_inject_cursor_ = 0;
   std::vector<std::int16_t> v_results_;
-  std::size_t v_results_received_ = 0;
 
   // W phase state
   std::vector<std::int64_t> w_accumulators_;  ///< per mapped row

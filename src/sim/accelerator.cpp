@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "common/kernels.hpp"
 #include "common/logging.hpp"
 #include "sim/result_arena.hpp"
 
@@ -49,18 +48,19 @@ const SimResult& AcceleratorSim::run(const CompiledNetwork& compiled,
   compiled.network().quantize_input_into(input, input_scratch);
 
   // Reserving the compiled image's worst-case broadcast occupancy and
-  // layer width up front keeps every send() and the functional pass's
-  // scratch allocation-free regardless of input density — a no-op once
-  // the engine has seen this network.
+  // layer width up front keeps every send() and the event core's and
+  // oracle's scratch allocation-free regardless of input density — a
+  // no-op once the engine has seen this network.
   broadcast_.reserve(compiled.max_broadcast_flits());
-  const std::size_t width = compiled.max_layer_width();
-  nz_idx_.reserve(width);
-  v_scratch_.reserve(width);
-  mask_scratch_.reserve(width);
-  golden_.reserve(width);
+  event_core_.reserve(compiled.max_layer_width());
+  golden_.reserve(compiled.max_layer_width());
 
-  // Scatter the input across the PEs' source register files.
-  for (auto& pe : pes_) pe.load_input(input_scratch);
+  // Only the oracle runs the PEs: scatter the input across their source
+  // register files.
+  const bool oracle = stepping_ == SteppingMode::kPerCycle;
+  if (oracle) {
+    for (auto& pe : pes_) pe.load_input(input_scratch);
+  }
 
   if (trace_) trace_->begin_inference();
 
@@ -73,7 +73,9 @@ const SimResult& AcceleratorSim::run(const CompiledNetwork& compiled,
     LayerSimResult& layer = out.layers[l];
     run_layer_into(compiled, l, act, validate, layer);
     out.total_cycles += layer.total_cycles;
-    for (auto& pe : pes_) pe.swap_regfiles();
+    if (oracle) {
+      for (auto& pe : pes_) pe.swap_regfiles();
+    }
     act = layer.activations;
   }
   out.output.assign(act.begin(), act.end());
@@ -97,66 +99,91 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
   result.v_noc = NocStats{};
   result.active_rows = 0;
 
-  // The layer's values from the one functional pass over the LNZD
-  // scan of its input. The event path takes them as its result; the
-  // per-cycle oracle recomputes them on its distributed datapath and,
-  // when validating, must match them.
+  // The layer's values and per-PE census from the one functional pass.
+  // The event path takes them as its result; the per-cycle oracle
+  // recomputes the values on its distributed datapath and, when
+  // validating, must match them.
   const bool event = stepping_ == SteppingMode::kEvent;
-  nz_idx_.resize(act.size());
-  nz_idx_.resize(
-      kernels().nonzero_scan_i16(act.data(), act.size(), nz_idx_.data()));
-  result.nnz_inputs = nz_idx_.size();
-  if (event || validate) {
-    compiled.network().forward_layer_into(
-        l, act, nz_idx_, compiled.use_predictor(), v_scratch_,
-        mask_scratch_, event ? result.activations : golden_);
-  }
-
-  for (auto& pe : pes_) {
-    pe.reset_events();
-    pe.load_layer(compiled.slice(l, pe.id()));
-  }
+  pass_.run(compiled, l, act, event ? result.activations : golden_);
+  result.nnz_inputs = pass_.nz_idx.size();
 
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
-  if (predict) {
-    result.v_cycles =
-        event ? event_core_.run_v_phase(pes_, v_tree_, broadcast_,
-                                        v_scratch_, result)
-              : simulate_v_phase(layer, result);
-    std::uint64_t u_max = 0;
-    for (auto& pe : pes_) {
-      u_max = std::max<std::uint64_t>(
-          u_max, event ? pe.charge_u_phase(mask_scratch_) : pe.run_u_phase());
-    }
-    result.u_cycles = u_max + params_.pe_pipeline_stages;
-  } else {
-    for (auto& pe : pes_) pe.force_all_rows_active();
-  }
-
-  result.w_cycles =
-      event ? event_core_.run_w_phase(pes_, w_tree_, broadcast_, result)
-            : simulate_w_phase(result);
-  result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
-
-  // Write back the produced activations (and count computed rows).
   if (event) {
-    for (auto& pe : pes_) pe.store_activations(result.activations);
+    const std::size_t rank = predict ? layer.rank() : 0;
+    if (predict) {
+      result.v_cycles = event_core_.run_v_phase(v_tree_, broadcast_,
+                                                pass_.pe_nnz, rank, result);
+      // The slowest PE maps ⌈m/P⌉ rows, each rank MACs at one per cycle.
+      result.u_cycles =
+          (layer.w.rows + params_.num_pes - 1) / params_.num_pes * rank +
+          params_.pe_pipeline_stages;
+    }
+    result.w_cycles =
+        event_core_.run_w_phase(w_tree_, broadcast_, pass_.nz_idx, act,
+                                pass_.pe_nnz, pass_.pe_active, result);
+    result.active_rows = pass_.active_rows;
+
+    // Every PE counter the oracle's datapath charges, in closed form
+    // over n nonzero inputs, m rows, a active rows, p PEs and
+    // S = Σ_i max(1, a_i) over the per-PE active rows a_i:
+    //   V  — each PE MACs its nonzeros × rank, reading each nonzero's
+    //        register once, and injects rank partials; every PE
+    //        receives the rank results through its queue;
+    //   U  — every row takes rank MACs and writes its predictor bit;
+    //   W  — the LNZD reads every bit and scans every nonzero, whose
+    //        register is read once more to inject it; every PE pushes
+    //        and pops every delivered activation, MACs it with its
+    //        active rows and is busy max(1, a_i) cycles doing so;
+    //   write-back — one register write per row.
+    const std::uint64_t n = pass_.nz_idx.size();
+    const std::uint64_t m = layer.w.rows;
+    const std::uint64_t a = pass_.active_rows;
+    const std::uint64_t p = params_.num_pes;
+    std::uint64_t busy = 0;
+    for (const std::size_t a_i : pass_.pe_active)
+      busy += std::max<std::size_t>(1, a_i);
+    EventCounts& e = result.events;
+    e.v_mem_reads = n * rank;
+    e.u_mem_reads = m * rank;
+    e.w_mem_reads = n * a;
+    e.macs = e.v_mem_reads + e.u_mem_reads + e.w_mem_reads;
+    e.act_reg_reads = (rank > 0 ? n : 0) + n;
+    e.act_reg_writes = m;
+    e.queue_ops = p * rank + 2 * n * p;
+    e.predictor_bits = (predict ? m : 0) + m;
+    e.lnzd_scans = (predict ? n : 0) + n;
+    e.pe_active_cycles = (n + p + m) * rank + n * busy;
   } else {
+    for (auto& pe : pes_) {
+      pe.reset_events();
+      pe.load_layer(compiled.slice(l, pe.id()));
+    }
+    if (predict) {
+      result.v_cycles = simulate_v_phase(layer, result);
+      std::uint64_t u_max = 0;
+      for (auto& pe : pes_)
+        u_max = std::max<std::uint64_t>(u_max, pe.run_u_phase());
+      result.u_cycles = u_max + params_.pe_pipeline_stages;
+    } else {
+      for (auto& pe : pes_) pe.force_all_rows_active();
+    }
+    result.w_cycles = simulate_w_phase(result);
+
+    // Write back the produced activations (and count computed rows).
     result.activations.assign(layer.w.rows, 0);
     for (auto& pe : pes_) {
       for (const auto& [global, value] : pe.write_back())
         result.activations[global] = value;
+      for (const std::uint8_t bit : pe.predictor_bits())
+        result.active_rows += bit;
+      result.events += pe.events();
     }
     ensures(!validate || result.activations == golden_,
             "simulator diverged from the functional fixed-point model");
   }
-  for (const auto& pe : pes_) {
-    for (const std::uint8_t bit : pe.predictor_bits())
-      result.active_rows += bit;
-  }
+  result.total_cycles = result.v_cycles + result.u_cycles + result.w_cycles;
 
-  result.events = collect_pe_events();
   result.events.router_flits =
       result.v_noc.flit_hops + result.w_noc.flit_hops;
   result.events.router_acc_ops =
@@ -302,12 +329,6 @@ std::uint64_t AcceleratorSim::simulate_w_phase(LayerSimResult& result) {
   result.w_noc.flit_hops +=
       delivered_count * params_.total_routers();  // downward multicast
   return cycles + params_.pe_pipeline_stages;
-}
-
-EventCounts AcceleratorSim::collect_pe_events() {
-  EventCounts total;
-  for (auto& pe : pes_) total += pe.events();
-  return total;
 }
 
 }  // namespace sparsenn

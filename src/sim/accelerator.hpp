@@ -4,8 +4,8 @@
 // (sim/engine.hpp). Its results are the ground truth the analytic
 // backend's predictions are verified against.
 //
-// AcceleratorSim owns the 64 PEs and drives the per-layer phase
-// sequence of Section V.D:
+// AcceleratorSim owns the 64 PEs and the NoC and models the per-layer
+// phase sequence of Section V.D:
 //
 //   V phase  — local column MACs, partial-sum reduction through the
 //              accumulate-mode H-tree, result broadcast;
@@ -19,13 +19,14 @@
 // baseline the paper calls uv_off.
 //
 // Every layer's values — V result, predictor mask, activations — come
-// from one vectorised functional pass (QuantizedNetwork::
-// forward_layer_into, the arithmetic AnalyticEngine also runs). The
+// from one vectorised functional pass with a per-PE census (LayerPass,
+// sim/compiled_network.hpp — the pass AnalyticEngine also runs). The
 // simulator then models timing in one of two ways (SteppingMode):
 //
 //   kEvent    — the event core (sim/event_core.hpp) simulates the NoC
-//     and charges the PEs' event counters, taking every value from the
-//     functional pass: functional pass + simulated NoC;
+//     from the census, and the PE event counters follow from the same
+//     counts in closed form; no PE is touched. Functional pass +
+//     simulated NoC;
 //   kPerCycle — the oracle steps every PE and router every cycle and
 //     runs the real distributed datapath (V MACs, tree reduction, U
 //     predictor, W MACs, write-back). With ValidationMode::kFull its
@@ -54,8 +55,8 @@
 // outdated weights.
 //
 // The steady-state cycle loop performs no heap allocation: the trees,
-// broadcast channel, queues and scan buffers are preallocated members
-// reused across phases, layers and inferences.
+// broadcast channel, queues, the pass and scan buffers are
+// preallocated members reused across phases, layers and inferences.
 
 #include <cstdint>
 #include <vector>
@@ -122,7 +123,7 @@ class AcceleratorSim final : public ExecutionEngine {
 
  private:
   /// Runs layer `l` on input `act` (the previous layer's activations,
-  /// also held in the PEs' source register files).
+  /// under the oracle also held in the PEs' source register files).
   void run_layer_into(const CompiledNetwork& compiled, std::size_t l,
                       std::span<const std::int16_t> act, bool validate,
                       LayerSimResult& result);
@@ -131,10 +132,8 @@ class AcceleratorSim final : public ExecutionEngine {
                                  LayerSimResult& result);
   std::uint64_t simulate_w_phase(LayerSimResult& result);
 
-  EventCounts collect_pe_events();
-
   ArchParams params_;
-  std::vector<ProcessingElement> pes_;
+  std::vector<ProcessingElement> pes_;  ///< run only by the oracle
 
   // Persistent NoC instances, reset at each phase start instead of
   // rebuilt — reset is bit-identical to fresh construction.
@@ -143,13 +142,8 @@ class AcceleratorSim final : public ExecutionEngine {
   BroadcastChannel broadcast_;
   std::vector<bool> v_closed_;  ///< per-PE injector-closed scratch
 
-  // Functional-pass scratch, reserved to the compiled image's widest
-  // layer: the layer input's ascending nonzero indices, the V result,
-  // the predictor mask, and the oracle's golden activations.
-  std::vector<std::uint32_t> nz_idx_;
-  std::vector<std::int16_t> v_scratch_;
-  std::vector<std::uint8_t> mask_scratch_;
-  std::vector<std::int16_t> golden_;
+  LayerPass pass_;
+  std::vector<std::int16_t> golden_;  ///< the oracle's pass activations
 
   SteppingMode stepping_ = SteppingMode::kEvent;
   EventCore event_core_;

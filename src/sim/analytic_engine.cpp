@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "common/kernels.hpp"
 #include "sim/result_arena.hpp"
 #include "sim/trace.hpp"
 
@@ -60,56 +59,26 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   result.w_noc = NocStats{};
   result.v_noc = NocStats{};
 
-  // --- Input census: the ascending nonzero index list (the LNZD scan
-  // output — every MAC loop below walks it instead of scanning zero
-  // slots) and its per-PE interleave (activation c lives on PE
-  // c mod P — the row/column schedule of Section V.A), which gates
+  // --- The layer itself and its census (LayerPass): predict
+  // (s = V a, t = U s, bit = t > θ) then the masked feedforward over
+  // the ascending nonzero inputs — QuantizedNetwork owns the one
+  // definition of this fixed-point arithmetic, so the backends cannot
+  // drift — plus the per-PE interleave of the nonzero inputs and
+  // active rows (index c lives on PE c mod P, Section V.A), which gates
   // the slowest-PE terms below.
-  // Worst case every activation is nonzero: after the first inference
-  // the capacity covers the widest layer, so steady state never
-  // reallocates (the bench reports the analytic allocs/inference).
-  nz_idx_.resize(act.size());
-  nz_idx_.resize(kernels().nonzero_scan_i16(act.data(), act.size(),
-                                            nz_idx_.data()));
-  pe_nnz_.assign(num_pes, 0);
-  // num_pes is radix^levels — a power of two at any valid config with
-  // radix 2/4/8 — so the interleave is a mask; keep the division for
-  // exotic radices.
-  if ((num_pes & (num_pes - 1)) == 0) {
-    const std::size_t pe_mask = num_pes - 1;
-    for (const std::uint32_t c : nz_idx_) ++pe_nnz_[c & pe_mask];
-  } else {
-    for (const std::uint32_t c : nz_idx_) ++pe_nnz_[c % num_pes];
-  }
-  const std::size_t nnz_in = nz_idx_.size();
+  pass_.run(compiled, l, act, result.activations);
+  const std::size_t nnz_in = pass_.nz_idx.size();
+  const std::size_t active_rows = pass_.active_rows;
   result.nnz_inputs = nnz_in;
+  result.active_rows = active_rows;
   const std::size_t max_local_nnz =
-      *std::max_element(pe_nnz_.begin(), pe_nnz_.end());
+      *std::max_element(pass_.pe_nnz.begin(), pass_.pe_nnz.end());
+  const std::size_t max_active =
+      *std::max_element(pass_.pe_active.begin(), pass_.pe_active.end());
 
   const bool predict = compiled.use_predictor() && layer.has_predictor() &&
                        !layer.is_output;
   const std::size_t rank = predict ? layer.rank() : 0;
-
-  // --- The layer itself: predict (s = V a, t = U s, bit = t > θ) then
-  // the masked feedforward — QuantizedNetwork owns the one definition
-  // of this fixed-point arithmetic, so the backends cannot drift.
-  compiled.network().forward_layer_into(l, act, nz_idx_,
-                                        compiled.use_predictor(),
-                                        v_scratch_, mask_scratch_,
-                                        result.activations);
-
-  // Active rows and their per-PE interleave (row r lives on PE
-  // r mod P) — gates the W-phase consume bound.
-  pe_active_.assign(num_pes, 0);
-  std::size_t active_rows = 0;
-  for (std::size_t r = 0, pe = 0; r < m; ++r) {
-    active_rows += mask_scratch_[r];
-    pe_active_[pe] += mask_scratch_[r];
-    if (++pe == num_pes) pe = 0;  // r mod num_pes without the divide
-  }
-  result.active_rows = active_rows;
-  const std::size_t max_active =
-      *std::max_element(pe_active_.begin(), pe_active_.end());
 
   // --- Schedule math (closed-form cycle estimates; see the header).
   const std::size_t max_rows_per_pe = (m + num_pes - 1) / num_pes;

@@ -11,7 +11,8 @@
 // counts and NoC statistics are then *derived* from the per-layer
 // schedule math of Section V (the same reasoning as
 // sim/schedule.hpp's estimators, but fed with the exact per-PE work
-// distribution of this input instead of balanced averages):
+// distribution of this input — the census of the LayerPass it shares
+// with the event-stepped cycle engine — instead of balanced averages):
 //
 //   V phase — the slowest PE's local column MACs (its local nonzero
 //     inputs × rank) plus the pipelined tree reduction and broadcast
@@ -34,7 +35,6 @@
 // per-inference buffers are members reused across calls.
 
 #include <cstdint>
-#include <vector>
 
 #include "arch/params.hpp"
 #include "sim/compiled_network.hpp"
@@ -69,12 +69,7 @@ class AnalyticEngine final : public ExecutionEngine {
 
   ArchParams params_;
 
-  // Per-inference scratch (capacity persists across calls).
-  std::vector<std::int16_t> v_scratch_;     ///< s = V a
-  std::vector<std::uint8_t> mask_scratch_;  ///< predictor bits
-  std::vector<std::uint32_t> nz_idx_;       ///< ascending nonzero inputs
-  std::vector<std::size_t> pe_nnz_;         ///< per-PE local nonzeros
-  std::vector<std::size_t> pe_active_;      ///< per-PE active rows
+  LayerPass pass_;  ///< per-layer scratch, capacity kept across calls
 
   TraceLog* trace_ = nullptr;
 };

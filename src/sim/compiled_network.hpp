@@ -30,6 +30,7 @@
 // call.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -124,6 +125,29 @@ class CompiledNetwork {
   std::vector<std::int16_t> v_pool_;
 
   std::vector<PeLayerSlice> slices_;  ///< [layer * num_pes + pe]
+};
+
+/// One layer's functional pass plus its per-PE census — what both fast
+/// engines (the event-stepped cycle engine and the analytic engine)
+/// read. Under the Section V interleave input c and row r both sit on
+/// PE (index mod P), so every per-PE work count follows from the
+/// nonzero inputs and active rows per PE. All members are scratch
+/// reused across layers and inferences, reserved to the image's widest
+/// layer, so a warm pass never allocates.
+struct LayerPass {
+  std::vector<std::uint32_t> nz_idx;  ///< ascending nonzero inputs (LNZD)
+  std::vector<std::int16_t> v;        ///< V result s (empty without UV)
+  std::vector<std::uint8_t> mask;     ///< per-row bit (all 1 without UV)
+  std::vector<std::size_t> pe_nnz;    ///< per-PE nonzero inputs
+  std::vector<std::size_t> pe_active; ///< per-PE predicted-active rows
+  std::size_t active_rows = 0;        ///< Σ pe_active
+
+  /// Scans `act` (layer `l`'s input), runs the layer's fixed-point
+  /// arithmetic (QuantizedNetwork::forward_layer_into) into
+  /// `activations`, then counts the census.
+  void run(const CompiledNetwork& compiled, std::size_t l,
+           std::span<const std::int16_t> act,
+           std::vector<std::int16_t>& activations);
 };
 
 }  // namespace sparsenn

@@ -14,8 +14,10 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
   // contract).
   const std::size_t n = params.num_pes;
   wake_.reserve(n);
+  v_sent_.reserve(n);
   pending_.reserve(n);
-  pe_cost_.reserve(n);
+  inj_next_.reserve(n);
+  inj_end_.reserve(n);
   cost_.reserve(n);
   pops_.reserve(n);
   sched_t_.reserve(n);
@@ -24,28 +26,25 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
   pending_inj_.reserve(n);
 }
 
+void EventCore::reserve(std::size_t max_width) { inj_idx_.reserve(max_width); }
+
 // ------------------------------------------------------------------ V phase
 
-std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
-                                     UpwardTree& tree,
+std::uint64_t EventCore::run_v_phase(UpwardTree& tree,
                                      BroadcastChannel& broadcast,
-                                     std::span<const std::int16_t> v_result,
+                                     std::span<const std::size_t> pe_nnz,
+                                     std::size_t rank,
                                      LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
-  const std::size_t num_pes = pes.size();
-  const std::size_t rank = v_result.size();
+  const std::size_t num_pes = pe_nnz.size();
 
-  // Phase start plus the charge of each PE's entire deterministic
-  // local-MAC burst. The burst length is this PE's wake time — in the
-  // reference it computes (and does nothing else) for exactly that
-  // many cycles.
+  // Each PE's wake time is its local-MAC burst, one MAC per cycle over
+  // its nonzero inputs × rank — in the reference it computes (and does
+  // nothing else) for exactly that many cycles.
   wake_.resize(num_pes);
-  for (std::size_t i = 0; i < num_pes; ++i) {
-    pes[i].start_v_phase();
-    wake_[i] = pes[i].v_burst_cycles();
-    pes[i].burst_v_compute(wake_[i]);
-  }
+  for (std::size_t i = 0; i < num_pes; ++i) wake_[i] = pe_nnz[i] * rank;
+  v_sent_.assign(num_pes, 0);
 
   std::uint64_t cycles = 0;
   std::uint64_t executed = 0;
@@ -55,8 +54,7 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
     pending_.push_back(static_cast<std::uint32_t>(i));
 
   // Until the earliest wake time nothing injects and the NoC is empty:
-  // jump there. (The reference's cycles 1..min_wake only run compute,
-  // already applied above.)
+  // jump there. (The reference's cycles 1..min_wake only run compute.)
   if (rank > 0) {
     std::uint64_t min_wake = UINT64_MAX;
     for (const std::uint64_t w : wake_) min_wake = std::min(min_wake, w);
@@ -106,9 +104,10 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
       const std::uint32_t i = pending_[p];
       bool closed = false;
       if (wake_[i] < cycles && tree.can_inject(i)) {
-        tree.inject(i, pes[i].peek_partial());
-        pes[i].pop_partial();
-        if (pes[i].all_partials_sent()) {
+        tree.inject(i, Flit{.index = v_sent_[i],
+                            .payload = 0,
+                            .source = static_cast<std::uint16_t>(i)});
+        if (++v_sent_[i] == rank) {
           tree.close_injector(i);
           closed = true;
         }
@@ -118,14 +117,9 @@ std::uint64_t EventCore::run_v_phase(std::span<ProcessingElement> pes,
     pending_.resize(kept);
 
     // The root multicasts each reduced row; V results always find
-    // room (dedicated registers). The partial sums were never computed,
-    // so every PE receives the functional pass's value for the row.
+    // room (dedicated registers).
     if (const auto out = tree.step(true)) broadcast.send(*out);
-    if (const auto delivered = broadcast.step()) {
-      for (auto& pe : pes)
-        pe.receive_v_result(delivered->index, v_result[delivered->index]);
-      ++results_delivered;
-    }
+    if (broadcast.step()) ++results_delivered;
   }
 
   stats_.cycles_ticked += cycles;
@@ -146,48 +140,53 @@ void EventCore::do_pop(std::size_t g, std::uint64_t t) {
   max_busy_until_ = std::max(max_busy_until_, t + cost_[g] - 1);
 }
 
-std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
-                                     UpwardTree& tree,
+std::uint64_t EventCore::run_w_phase(UpwardTree& tree,
                                      BroadcastChannel& broadcast,
+                                     std::span<const std::uint32_t> nz_idx,
+                                     std::span<const std::int16_t> act,
+                                     std::span<const std::size_t> pe_nnz,
+                                     std::span<const std::size_t> pe_active,
                                      LayerSimResult& result) {
   tree.reset();
   broadcast.reset();
-  const std::size_t num_pes = pes.size();
+  const std::size_t num_pes = pe_nnz.size();
   const std::uint64_t queue_depth = params_.act_queue_depth;
 
-  // Phase start; record each PE's fixed per-pop datapath cost.
-  pe_cost_.resize(num_pes);
+  // Bucket the nonzero inputs per PE (input c sits on PE c mod P), each
+  // bucket ascending — the order a PE's LNZD injects them in. Filled
+  // back to front, so every cursor ends at its bucket's start.
+  pending_inj_.clear();
+  inj_next_.resize(num_pes);
+  inj_end_.resize(num_pes);
+  std::size_t end = 0;
   for (std::size_t i = 0; i < num_pes; ++i) {
-    pes[i].start_w_phase();
-    pe_cost_[i] = std::max<std::uint64_t>(std::uint64_t{1},
-                                          pes[i].w_active_row_count());
+    end += pe_nnz[i];
+    inj_next_[i] = inj_end_[i] = end;
+    if (pe_nnz[i] != 0) pending_inj_.push_back(static_cast<std::uint32_t>(i));
   }
+  inj_idx_.resize(nz_idx.size());
+  const std::size_t pe_mask = num_pes - 1;
+  const bool pow2 = (num_pes & pe_mask) == 0;
+  for (auto c = nz_idx.rbegin(); c != nz_idx.rend(); ++c)
+    inj_idx_[--inj_next_[pow2 ? *c & pe_mask : *c % num_pes]] = *c;
+  bool all_injected = pending_inj_.empty();
 
   // Collapse PEs into cost groups. Every PE sees the same delivery
-  // stream and pops at its fixed cost, so the pop schedule is a pure
-  // function of the cost — equal-cost PEs are indistinguishable to the
-  // timing model and one group stands in for all of them. Sorted by
-  // descending cost: pop times are monotone in the cost, so group 0
-  // (the laggard) always holds the minimum pop count over all PEs —
-  // the fullest queue, i.e. the root's credit view, read in O(1).
+  // stream and pops at its fixed cost — max(1, active rows) cycles per
+  // activation — so the pop schedule is a pure function of the cost:
+  // equal-cost PEs are indistinguishable to the timing model and one
+  // group stands in for all of them. Sorted by descending cost: pop
+  // times are monotone in the cost, so group 0 (the laggard) always
+  // holds the minimum pop count over all PEs — the fullest queue, i.e.
+  // the root's credit view, read in O(1).
   cost_.clear();
-  for (const std::uint64_t c : pe_cost_) {
+  for (const std::size_t active : pe_active) {
+    const std::uint64_t c = std::max<std::uint64_t>(1, active);
     if (std::find(cost_.begin(), cost_.end(), c) == cost_.end())
       cost_.push_back(c);
   }
   std::sort(cost_.begin(), cost_.end(), std::greater<>{});
   const std::size_t num_groups = cost_.size();
-
-  // How many activations the phase will deliver: every injected flit
-  // is multicast to every PE.
-  pending_inj_.clear();
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < num_pes; ++i) {
-    const std::size_t n = pes[i].w_injection_count();
-    total += n;
-    if (n != 0) pending_inj_.push_back(static_cast<std::uint32_t>(i));
-  }
-  bool all_injected = pending_inj_.empty();
 
   // Timing-model state: every group starts idle (empty queue, free
   // datapath) with zero pops.
@@ -272,16 +271,17 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
     ensures(++cycles < kCycleLimit, "W-phase deadlock");
     ++executed;
 
-    // Injection pass, ascending PE order (cursor and counters are the
-    // PE's own — peek/pop are the real calls).
+    // Injection pass, ascending PE order.
     if (!all_injected) {
       std::size_t kept = 0;
       for (std::size_t p = 0; p < pending_inj_.size(); ++p) {
         const std::uint32_t i = pending_inj_[p];
         if (tree.can_inject(i)) {
-          tree.inject(i, pes[i].peek_injection());
-          pes[i].pop_injection();
-          if (!pes[i].has_injection()) continue;  // drained: drop
+          const std::uint32_t c = inj_idx_[inj_next_[i]++];
+          tree.inject(i, Flit{.index = c,
+                              .payload = act[c],
+                              .source = static_cast<std::uint16_t>(i)});
+          if (inj_next_[i] == inj_end_[i]) continue;  // drained: drop
         }
         pending_inj_[kept++] = i;
       }
@@ -327,13 +327,9 @@ std::uint64_t EventCore::run_w_phase(std::span<ProcessingElement> pes,
     scheduled_.resize(kept);
   }
 
-  ensures(delivered_ == total && total == result.nnz_inputs,
+  ensures(delivered_ == nz_idx.size(),
           "broadcast delivered a different number of activations than "
           "were injected");
-
-  // Every PE consumed every delivered activation: charge the
-  // per-activation event totals in bulk.
-  for (ProcessingElement& pe : pes) pe.charge_w_activations(delivered_);
 
   stats_.cycles_ticked += cycles;
   stats_.events_executed += executed;

@@ -3,35 +3,36 @@
 // the same NoC the per-cycle loop drives.
 //
 // The layer's values — V result, predictor mask, activations — come
-// from the one functional pass (QuantizedNetwork::forward_layer_into)
-// that AcceleratorSim runs before the phases. The core simulates only
-// timing, and charges every PE the event counters the datapath would
-// have produced; each depends on counts only.
+// from the one functional pass (LayerPass, sim/compiled_network.hpp)
+// that AcceleratorSim runs before the phases, and so do the per-PE
+// counts this core reads: nonzero inputs and active rows per PE. The
+// core simulates only NoC timing and touches no PE; AcceleratorSim
+// derives the PE event counters from the same counts in closed form.
 //
 // The per-cycle reference visits every PE and router every cycle. This
 // core keeps the cycle-by-cycle NoC simulation (the trees and the
 // broadcast channel are the real objects, stepped for real) but stops
 // visiting components that provably have nothing to do:
 //
-//   V phase — every PE's local column-MAC burst is a deterministic
-//     number of cycles known at phase start, so the whole burst is
-//     charged up front (ProcessingElement::burst_v_compute, no MACs)
-//     and each PE carries a wake time. The tree reduces zero partial
-//     sums (its timing never reads a payload) and every PE receives
-//     the functional pass's V result. Until the earliest wake nothing
-//     injects, so the phase opens with one jump there; after that the
-//     cycle loop only walks the wake-list of PEs whose time has come.
-//     When every awake PE is credit-blocked and the tree's last step
-//     was provably quiet (no router decision, not even a cancelled
-//     one, and no closure propagation — see
+//   V phase — every PE's local column-MAC burst lasts its nonzero
+//     inputs × rank cycles, known at phase start, and that is the PE's
+//     wake time. After it the PE injects one partial-sum flit per rank
+//     row, payload zero: the tree's timing never reads a payload, and
+//     the V result comes from the functional pass. Until the earliest
+//     wake nothing injects, so the phase opens with one jump there;
+//     after that the cycle loop only walks the wake-list of PEs whose
+//     time has come. When every awake PE is credit-blocked and the
+//     tree's last step was provably quiet (no router decision, not
+//     even a cancelled one, and no closure propagation — see
 //     UpwardTree::last_step_quiet), the loop jumps straight to the
 //     next wake time.
 //
-//   W phase — every delivered activation reaches every PE, so each PE
-//     is charged the per-activation event totals in bulk at phase end
-//     (ProcessingElement::charge_w_activations). Meanwhile the cycle
-//     loop runs a compact queue-timing model over *cost groups*: every
-//     PE sees the same delivery stream and pops at a fixed per-phase
+//   W phase — each PE injects its nonzero inputs in ascending index
+//     order (the functional pass's nonzero list, bucketed per PE).
+//     Every delivered activation reaches every PE, which is busy for
+//     max(1, its active rows) cycles per activation. The cycle loop
+//     runs a compact queue-timing model over *cost groups*: every PE
+//     sees the same delivery stream and pops at that fixed per-phase
 //     cost, so PEs with equal cost have identical pop schedules and
 //     collapse into one modelled group. Pop times are monotone in the
 //     cost, so the fullest queue (the root's credit view) is always
@@ -49,11 +50,11 @@
 // SteppingEquivalence suite in tests/compiled_engine_test.cpp and
 // tests/engine_equivalence_test.cpp pin it.
 //
-// Every pass runs on the calling thread: the per-PE passes (phase
-// starts, burst and W charges) are plain loops, and the engine
-// performs no allocation in steady state (the arena path's
-// zero-allocation contract covers the event core). Parallelism lives
-// one level up, across inferences (BatchRunner, the serving workers).
+// Every pass runs on the calling thread: the per-PE passes are plain
+// loops, and the engine performs no allocation in steady state (the
+// arena path's zero-allocation contract covers the event core).
+// Parallelism lives one level up, across inferences (BatchRunner, the
+// serving workers).
 
 #include <cstdint>
 #include <span>
@@ -61,7 +62,6 @@
 
 #include "arch/params.hpp"
 #include "noc/htree.hpp"
-#include "pe/pe.hpp"
 #include "sim/engine.hpp"
 
 namespace sparsenn {
@@ -91,24 +91,31 @@ class EventCore {
 
   explicit EventCore(const ArchParams& params);
 
-  /// Event-driven V phase: identical contract and observables to
-  /// AcceleratorSim::simulate_v_phase. `v_result` is the layer's V
-  /// result from the functional pass (one word per rank row), which
-  /// every PE receives as its row is delivered. Fills result.v_noc
+  /// Sizes the W phase's per-PE nonzero buckets for layers up to
+  /// `max_width` inputs (CompiledNetwork::max_layer_width), so a
+  /// denser input never reallocates mid-run.
+  void reserve(std::size_t max_width);
+
+  /// Event-driven V phase: identical timing and NoC statistics to
+  /// AcceleratorSim::simulate_v_phase. `pe_nnz` holds each PE's local
+  /// nonzero inputs; the tree reduces `rank` rows. Fills result.v_noc
   /// (including the downward multicast hops) and returns the phase
   /// cycles including the PE pipeline drain.
-  std::uint64_t run_v_phase(std::span<ProcessingElement> pes,
-                            UpwardTree& tree, BroadcastChannel& broadcast,
-                            std::span<const std::int16_t> v_result,
-                            LayerSimResult& result);
+  std::uint64_t run_v_phase(UpwardTree& tree, BroadcastChannel& broadcast,
+                            std::span<const std::size_t> pe_nnz,
+                            std::size_t rank, LayerSimResult& result);
 
-  /// Event-driven W phase: identical timing and counters to
-  /// AcceleratorSim::simulate_w_phase (start_w_phase through the last
-  /// drained cycle plus the bulk event charge); it computes no value.
-  /// Fills result.w_noc and returns the phase cycles including the PE
+  /// Event-driven W phase: identical timing and NoC statistics to
+  /// AcceleratorSim::simulate_w_phase. `nz_idx` is the ascending list
+  /// of the layer input `act`'s nonzeros, `pe_nnz` and `pe_active` the
+  /// per-PE nonzero inputs and predicted-active rows. Fills
+  /// result.w_noc and returns the phase cycles including the PE
   /// pipeline drain.
-  std::uint64_t run_w_phase(std::span<ProcessingElement> pes,
-                            UpwardTree& tree, BroadcastChannel& broadcast,
+  std::uint64_t run_w_phase(UpwardTree& tree, BroadcastChannel& broadcast,
+                            std::span<const std::uint32_t> nz_idx,
+                            std::span<const std::int16_t> act,
+                            std::span<const std::size_t> pe_nnz,
+                            std::span<const std::size_t> pe_active,
                             LayerSimResult& result);
 
   const Stats& stats() const noexcept { return stats_; }
@@ -126,10 +133,13 @@ class EventCore {
 
   // ---- V phase scratch ----
   std::vector<std::uint64_t> wake_;      ///< per-PE local-burst length
+  std::vector<std::uint32_t> v_sent_;    ///< per-PE partials injected
   std::vector<std::uint32_t> pending_;   ///< open injectors, ascending
 
-  // ---- W phase scratch (the cost-group queue-timing model) ----
-  std::vector<std::uint64_t> pe_cost_;   ///< per-PE cycles per pop
+  // ---- W phase scratch (injection buckets, cost-group timing model) ----
+  std::vector<std::uint32_t> inj_idx_;   ///< nonzero inputs, PE-bucketed
+  std::vector<std::size_t> inj_next_;    ///< per-PE next bucket entry
+  std::vector<std::size_t> inj_end_;     ///< per-PE bucket end
   std::vector<std::uint64_t> cost_;      ///< per-group cycles per pop, desc
   std::vector<std::uint64_t> pops_;      ///< per-group pops so far
   std::vector<std::uint64_t> sched_t_;   ///< per-group next datapath-free cycle

@@ -179,6 +179,35 @@ TEST(CompiledEngine, MismatchedArchitectureIsRejected) {
   EXPECT_THROW((void)sim.run(compiled, x), std::invalid_argument);
 }
 
+// A network that does not fit the chip is rejected when it is compiled,
+// whichever PE SRAM bank or the activation registers it overflows, so
+// neither stepping mode ever runs it (the event path never loads a PE,
+// so the PE's own checks alone would not stop it).
+TEST(CompiledNetwork, OverCapacityNetworkIsRejectedAtCompileTime) {
+  Rng rng{11};
+  const QuantizedNetwork q = seeded_network(rng);
+  EXPECT_NO_THROW((void)CompiledNetwork(q, tiny_arch(), true));
+
+  std::vector<ArchParams> tight(4, tiny_arch());
+  tight[0].w_mem_kb_per_pe = 0;
+  tight[1].u_mem_kb_per_pe = 0;
+  tight[2].v_mem_kb_per_pe = 0;
+  tight[3].act_regs_per_pe = 1;  // 16 registers < the 24 inputs
+  const Vector x(24, 0.5f);
+  for (std::size_t i = 0; i < tight.size(); ++i) {
+    EXPECT_THROW((void)CompiledNetwork(q, tight[i], true),
+                 std::invalid_argument)
+        << "case " << i;
+    for (const SteppingMode mode :
+         {SteppingMode::kPerCycle, SteppingMode::kEvent}) {
+      AcceleratorSim sim(tight[i]);
+      sim.set_stepping_mode(mode);
+      EXPECT_THROW((void)sim.run(q, x, true), std::invalid_argument)
+          << "case " << i;
+    }
+  }
+}
+
 TEST(CompiledEngine, StaleSnapshotIsRejectedInEveryMode) {
   // PR-2 behaviour: a stale image silently simulated the old threshold
   // under kOff and only kFull *might* notice (when the masks happened

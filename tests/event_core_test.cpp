@@ -82,6 +82,46 @@ TEST_P(EventCoreEquivalence, UnbufferedFlowControl) {
   }
 }
 
+// The inputs where a closed-form event count is most easily off by its
+// max(1, ·), [rank > 0] or p·rank term: no PE injects in either phase
+// (an all-zero input), one PE injects one flit (a single nonzero at the
+// last input index), and every PE consumes at cost max(1, 0) (a
+// threshold no row clears, so a layer has zero active rows).
+TEST_P(EventCoreEquivalence, ClosedFormEdgeCases) {
+  const bool use_predictor = GetParam();
+  Rng rng{74};
+  QuantizedNetwork network = test_fixtures::seeded_network(rng);
+
+  const auto compare = [&](const std::vector<float>& input,
+                           const char* what) {
+    SimResult event;
+    for (const std::size_t depth : {std::size_t{2}, std::size_t{32}}) {
+      ArchParams arch = test_fixtures::tiny_arch();
+      arch.act_queue_depth = depth;
+      const CompiledNetwork compiled(network, arch, use_predictor);
+      const SimResult per_cycle =
+          run_mode(compiled, input, arch, SteppingMode::kPerCycle);
+      event = run_mode(compiled, input, arch, SteppingMode::kEvent);
+      EXPECT_EQ(per_cycle, event) << what << ", depth=" << depth;
+    }
+    return event;
+  };
+
+  const std::vector<float> zero(24, 0.0f);
+  EXPECT_EQ(compare(zero, "all-zero input").layers[0].nnz_inputs, 0u);
+
+  std::vector<float> last_only(24, 0.0f);
+  last_only.back() = 0.8f;
+  EXPECT_EQ(compare(last_only, "last input only").layers[0].nnz_inputs, 1u);
+
+  network.set_prediction_threshold(1000.0);  // no row clears it
+  const SimResult silenced =
+      compare(std::vector<float>(24, 0.75f), "zero active rows");
+  if (use_predictor) {
+    EXPECT_EQ(silenced.layers[0].active_rows, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(UvModes, EventCoreEquivalence,
                          ::testing::Values(true, false),
                          [](const auto& info) {

@@ -125,28 +125,6 @@ TEST(KernelsTest, PredictBitsSaturationExtremesStayExact) {
   }
 }
 
-TEST(KernelsTest, AxpyMatchesScalar) {
-  std::mt19937 rng(303);
-  const auto& scalar = scalar_kernels();
-  for (const KernelTable* t : available_tables()) {
-    for (const std::size_t n : kWidths) {
-      for (int rep = 0; rep < 8; ++rep) {
-        const auto w = random_i16(rng, n, 0.2);
-        const std::int16_t a =
-            rep == 0 ? std::int16_t{-32768} : random_extreme_i16(rng);
-        std::vector<std::int64_t> acc(n);
-        std::uniform_int_distribution<std::int64_t> init(-1'000'000,
-                                                         1'000'000);
-        for (auto& v : acc) v = init(rng);
-        std::vector<std::int64_t> expected = acc;
-        t->axpy_i16_i64(acc.data(), w.data(), a, n);
-        scalar.axpy_i16_i64(expected.data(), w.data(), a, n);
-        EXPECT_EQ(acc, expected) << to_string(t->isa) << " n=" << n;
-      }
-    }
-  }
-}
-
 TEST(KernelsTest, SparseMatvecMatchesScalar) {
   std::mt19937 rng(404);
   const auto& scalar = scalar_kernels();
@@ -165,6 +143,28 @@ TEST(KernelsTest, SparseMatvecMatchesScalar) {
                                      idx.data(), idx.size(), act.data());
         EXPECT_EQ(got, expected)
             << to_string(t->isa) << " m=" << m << " n=" << n;
+      }
+    }
+    // One nonzero input — -32768 first, then random extremes — into
+    // preloaded accumulators at every width: a single column sweep,
+    // every lane-count boundary and ragged tail included.
+    for (const std::size_t m : kWidths) {
+      for (int rep = 0; rep < 8; ++rep) {
+        const auto cols = random_i16(rng, m, 0.2);
+        std::int16_t a = -32768;
+        while (rep > 0 && (a = random_extreme_i16(rng)) == 0) {
+        }
+        const std::uint32_t idx = 0;
+        std::vector<std::int64_t> got(m);
+        std::uniform_int_distribution<std::int64_t> init(-1'000'000,
+                                                         1'000'000);
+        for (auto& v : got) v = init(rng);
+        std::vector<std::int64_t> expected = got;
+        t->sparse_matvec_i16_i64(got.data(), cols.data(), m, &idx, 1, &a);
+        scalar.sparse_matvec_i16_i64(expected.data(), cols.data(), m, &idx,
+                                     1, &a);
+        EXPECT_EQ(got, expected)
+            << to_string(t->isa) << " m=" << m << " a=" << a;
       }
     }
   }
