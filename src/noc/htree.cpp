@@ -86,11 +86,20 @@ UpwardTree::UpwardTree(std::size_t num_pes, std::size_t radix,
   }
   root_ = static_cast<std::uint32_t>(routers_.size() - 1);
 
+  // Router r's parent port is port r + num_pes (tier t+1's ports list
+  // tier t's routers in order), so one credit note serves both bitsets.
+  for (std::uint32_t r = 0; r < root_; ++r)
+    ensures(routers_[r].up_port == r + num_pes_,
+            "router parent ports do not follow the router order");
+
   ports_.resize(routers_.size() * radix_);
   slots_.resize(ports_.size() * depth_);
-  if (credit_latency_ > 1) credits_.resize(slots_.size());
-  busy_.resize((routers_.size() + 63) / 64);
-  closing_.resize(busy_.size());
+  // The credit protocol bounds buffered + in-flight by the depth per
+  // port, so the stamp queue never holds more than every slot.
+  if (credit_latency_ > 1) credit_stamps_.assign_capacity(slots_.size());
+  for (auto* bits : {&busy_, &dirty_, &waiting_, &up_credit_, &closing_})
+    bits->resize((routers_.size() + 63) / 64);
+  inject_credit_.resize((num_pes_ + 63) / 64);
   grants_.reserve(routers_.size());
   reset();
 }
@@ -105,14 +114,15 @@ void UpwardTree::reset() {
     r = fresh;
   }
   for (RouterPort& p : ports_) p = RouterPort{};
-  std::fill(busy_.begin(), busy_.end(), 0);
-  std::fill(closing_.begin(), closing_.end(), 0);
+  credit_stamps_.clear();
+  for (auto* bits : {&busy_, &dirty_, &waiting_, &up_credit_, &closing_,
+                     &inject_credit_})
+    std::fill(bits->begin(), bits->end(), 0);
+  for (std::size_t port = 0; port < ports_.size(); ++port)
+    note_credit(port);
   grants_.clear();
   now_ = 0;
-  last_credit_at_ = 0;
   buffered_total_ = 0;
-  last_step_transferred_ = true;
-  last_step_quiet_ = false;
 }
 
 void UpwardTree::pop(std::uint32_t r, std::size_t port) {
@@ -121,59 +131,77 @@ void UpwardTree::pop(std::uint32_t r, std::size_t port) {
   --p.count;
   Router& router = routers_[r];
   router.rescan = true;
+  set_bit(dirty_, r);
   note_occupancy(router);
-  if (--router.buffered == 0) busy_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+  if (--router.buffered == 0) clear_bit(busy_, r);
   --buffered_total_;
   if (credit_latency_ > 1) {
     // The freed slot's credit reaches the child credit_latency_ cycles
-    // from now. Stamps expired by now can go first: the credit protocol
-    // bounds buffered + in-flight by the depth, so the ring never
-    // overflows.
-    const std::size_t base = port * depth_;
-    while (p.credit_count > 0 && credits_[base + p.credit_head] <= now_) {
-      if (++p.credit_head == depth_) p.credit_head = 0;
-      --p.credit_count;
-    }
-    std::size_t slot = p.credit_head + p.credit_count;
-    if (slot >= depth_) slot -= depth_;
-    credits_[base + slot] = now_ + credit_latency_;
-    ++p.credit_count;
-    last_credit_at_ = now_ + credit_latency_;
+    // from now; until then the slot still counts as occupied.
+    ++p.in_flight;
+    credit_stamps_.push_back(CreditStamp{now_ + credit_latency_, port});
+  } else {
+    note_credit(port);
   }
 }
 
-void UpwardTree::grant_or_stall(std::uint32_t r, const Flit& flit,
-                                std::uint32_t port, bool parent_ready) {
-  // A decision the parent cannot take is a credit stall; it has already
-  // charged its conflict or ACC statistics.
-  if (parent_ready) {
+void UpwardTree::expire_credits() {
+  while (!credit_stamps_.empty() && credit_stamps_.front().at <= now_) {
+    const std::size_t port = credit_stamps_.front().port;
+    credit_stamps_.pop_front();
+    --ports_[port].in_flight;
+    note_credit(port);
+  }
+}
+
+void UpwardTree::decide(std::uint32_t r) {
+  Router& router = routers_[r];
+  // Every cycle since the stall opened made the same decision.
+  router.stats = router.settled_stats(now_);
+  router.stall_since = Router::kNoStall;
+
+  const std::size_t base = r * radix_;
+  Flit flit;
+  std::uint32_t port = static_cast<std::uint32_t>(radix_);
+  std::uint32_t conflicts = 0;
+  std::uint32_t acc_ops = 0;
+  if (mode_ == RouterMode::kArbitrate) {
+    // The smallest head index wins; losers wait in their buffers.
+    if (router.rescan) {
+      router.candidates = 0;
+      for (std::size_t p = 0; p < radix_; ++p) {
+        if (ports_[base + p].count == 0) continue;
+        if (router.candidates == 0 ||
+            head(base + p).index < head(base + router.winner).index)
+          router.winner = static_cast<std::uint32_t>(p);
+        ++router.candidates;
+      }
+      router.rescan = false;
+    }
+    conflicts = router.candidates > 1 ? 1 : 0;
+    flit = head(base + router.winner);
+    port = router.winner;
+  } else {
+    const bool fires = accumulate(r, flit, acc_ops);
+    assign_bit(waiting_, r, !fires);
+    if (!fires) return;
+  }
+
+  if (test_bit(up_credit_, r)) {
+    router.stats.arbitration_conflicts += conflicts;
+    router.stats.acc_operations += acc_ops;
     grants_.push_back(Grant{flit, r, port});
   } else {
-    ++routers_[r].stats.credit_stalls;
+    // A credit stall: this decision repeats every cycle until an input
+    // changes, and is charged when the router is next decided.
+    router.stall_since = now_;
+    router.stall_conflicts = conflicts;
+    router.stall_acc_ops = acc_ops;
   }
 }
 
-void UpwardTree::arbitrate(std::uint32_t r, bool parent_ready) {
-  // The smallest head index wins; losers wait in their buffers.
-  Router& router = routers_[r];
-  const std::size_t base = r * radix_;
-  if (router.rescan) {
-    router.candidates = 0;
-    for (std::size_t p = 0; p < radix_; ++p) {
-      if (ports_[base + p].count == 0) continue;
-      if (router.candidates == 0 ||
-          head(base + p).index < head(base + router.winner).index)
-        router.winner = static_cast<std::uint32_t>(p);
-      ++router.candidates;
-    }
-    router.rescan = false;
-  }
-  if (router.candidates > 1) ++router.stats.arbitration_conflicts;
-  grant_or_stall(r, head(base + router.winner), router.winner,
-                 parent_ready);
-}
-
-bool UpwardTree::accumulate(std::uint32_t r, bool parent_ready) {
+bool UpwardTree::accumulate(std::uint32_t r, Flit& combined,
+                            std::uint32_t& acc_ops) const {
   // Wait until every open port has its head flit; closed ports with
   // drained buffers drop out of the reduction. An empty open port means
   // the ACC waits for the laggard no matter what the other ports hold
@@ -188,9 +216,9 @@ bool UpwardTree::accumulate(std::uint32_t r, bool parent_ready) {
     }
     row = std::min(row, head(base + p).index);
   }
-  Flit combined;
+  combined = Flit{};
   combined.index = row;
-  std::uint64_t contributors = 0;
+  std::uint32_t contributors = 0;
   for (std::size_t p = 0; p < radix_; ++p) {
     if (ports_[base + p].count == 0) continue;
     const Flit& f = head(base + p);
@@ -199,30 +227,23 @@ bool UpwardTree::accumulate(std::uint32_t r, bool parent_ready) {
     combined.source = f.source;
     ++contributors;
   }
-  routers_[r].stats.acc_operations += contributors - 1;
-  grant_or_stall(r, combined, static_cast<std::uint32_t>(radix_),
-                 parent_ready);
+  acc_ops = contributors - 1;
   return true;
 }
 
 std::optional<Flit> UpwardTree::step(bool root_ready) {
-  // Decide pass: every busy router reads begin-of-cycle state only —
-  // its own heads and its parent's credit view.
+  // Decide pass: the busy routers whose decision can have changed read
+  // begin-of-cycle state only — their own heads and their parent's
+  // credit view. The others repeat their stall (or ACC wait) for free.
+  assign_bit(up_credit_, root_, root_ready);
   grants_.clear();
-  bool decided = false;
   for (std::size_t w = 0; w < busy_.size(); ++w) {
-    for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
-      const auto r = static_cast<std::uint32_t>(
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-      const bool parent_ready =
-          r == root_ ? root_ready : can_accept(routers_[r].up_port);
-      if (mode_ == RouterMode::kArbitrate) {
-        arbitrate(r, parent_ready);  // a busy router always decides
-        decided = true;
-      } else {
-        decided = accumulate(r, parent_ready) || decided;
-      }
-    }
+    std::uint64_t bits =
+        busy_[w] & (dirty_[w] | (up_credit_[w] & ~waiting_[w]));
+    dirty_[w] = 0;
+    for (; bits != 0; bits &= bits - 1)
+      decide(static_cast<std::uint32_t>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
   }
 
   // Commit pass, root first: each winner pops its begin-of-cycle heads
@@ -248,21 +269,43 @@ std::optional<Flit> UpwardTree::step(bool root_ready) {
       push(router.parent, router.up_port, g->flit);
     }
   }
-  last_step_transferred_ = !grants_.empty();
 
-  const bool closure_changed =
-      mode_ == RouterMode::kAccumulate && propagate_closures();
-  last_step_quiet_ = !decided && !closure_changed;
+  if (mode_ == RouterMode::kAccumulate) propagate_closures();
   ++now_;
+  expire_credits();
   return out;
+}
+
+bool UpwardTree::quiet(bool root_ready) const {
+  if (!credits_quiet()) return false;
+  const std::size_t root_word = root_ >> 6;
+  const std::uint64_t root_bit = std::uint64_t{1} << (root_ & 63);
+  for (std::size_t w = 0; w < busy_.size(); ++w) {
+    std::uint64_t credit = up_credit_[w];
+    if (w == root_word)
+      credit = root_ready ? credit | root_bit : credit & ~root_bit;
+    const std::uint64_t visits =
+        busy_[w] & (dirty_[w] | (credit & ~waiting_[w]));
+    if ((visits | (closing_[w] & ~busy_[w])) != 0) return false;
+  }
+  return true;
+}
+
+void UpwardTree::skip(std::uint64_t k, bool root_ready) {
+  expects(idle() || quiet(root_ready),
+          "skip over cycles in which the tree would change");
+  now_ += k;
+  expire_credits();
 }
 
 void UpwardTree::close_port(std::uint32_t r, std::size_t port) {
   if (ports_[port].closed) return;
   ports_[port].closed = true;
+  set_bit(dirty_, r);
   --routers_[r].open_ports;
-  if (routers_[r].all_closed() && r != root_)
-    closing_[r >> 6] |= std::uint64_t{1} << (r & 63);
+  if (mode_ == RouterMode::kAccumulate && routers_[r].all_closed() &&
+      r != root_)
+    set_bit(closing_, r);
 }
 
 void UpwardTree::close_injector(std::size_t pe) {
@@ -270,61 +313,20 @@ void UpwardTree::close_injector(std::size_t pe) {
   close_port(static_cast<std::uint32_t>(pe / radix_), pe);
 }
 
-bool UpwardTree::propagate_closures() {
+void UpwardTree::propagate_closures() {
   // A drained subtree closes its parent's port so the parent's ACC does
   // not wait for children that will never send. A router qualifies
   // once it is all-closed, empty and did not forward this cycle (the
   // state before this cycle's pops, with this cycle's arrivals, held no
   // flit). Ascending order reaches a parent after its children, so a
-  // closure can climb several levels in one cycle. Every closure here
-  // flips an open port, which can enable that parent's ACC next cycle,
-  // so it makes the step non-quiet.
-  bool changed = false;
+  // closure can climb several levels in one cycle.
   for (std::size_t r = next_set(closing_, 0); r != kNone;
        r = next_set(closing_, r + 1)) {
     const Router& child = routers_[r];
     if (child.buffered != 0 || child.fired_at == now_) continue;
-    closing_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+    clear_bit(closing_, r);
     close_port(child.parent, child.up_port);
-    changed = true;
   }
-  return changed;
-}
-
-bool UpwardTree::stalled_static() const {
-  if (mode_ != RouterMode::kArbitrate || !credits_quiet()) return false;
-  for (std::size_t w = 0; w < busy_.size(); ++w) {
-    for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
-      const std::size_t r =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      // A busy non-root router whose parent can accept would move a
-      // flit; the root's consumer is closed by the caller's
-      // precondition.
-      if (r != root_ && can_accept(routers_[r].up_port)) return false;
-    }
-  }
-  return true;
-}
-
-void UpwardTree::skip_stalled(std::uint64_t k) {
-  expects(mode_ == RouterMode::kArbitrate || buffered_total_ == 0,
-          "skip_stalled models the arbitration stall pattern only");
-  // Each stalled cycle re-runs the same arbitration in every busy
-  // router: a conflict when more than one port has a head flit, then
-  // the grant dies on the closed parent credit window.
-  for (std::size_t w = 0; w < busy_.size(); ++w) {
-    for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
-      const std::size_t r =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-      std::size_t candidates = 0;
-      for (std::size_t p = 0; p < radix_; ++p)
-        if (ports_[r * radix_ + p].count != 0) ++candidates;
-      RouterStats& stats = routers_[r].stats;
-      if (candidates > 1) stats.arbitration_conflicts += k;
-      stats.credit_stalls += k;
-    }
-  }
-  now_ += k;
 }
 
 NocStats UpwardTree::stats() const {
@@ -332,12 +334,13 @@ NocStats UpwardTree::stats() const {
   double occupancy = 0.0;
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     const Router& r = routers_[i];
-    out.flit_hops += r.stats.flits_forwarded;
-    out.acc_operations += r.stats.acc_operations;
-    out.arbitration_conflicts += r.stats.arbitration_conflicts;
-    out.credit_stalls += r.stats.credit_stalls;
+    const RouterStats s = r.settled_stats(now_);
+    out.flit_hops += s.flits_forwarded;
+    out.acc_operations += s.acc_operations;
+    out.arbitration_conflicts += s.arbitration_conflicts;
+    out.credit_stalls += s.credit_stalls;
     if (i < num_leaves_) {
-      const std::uint64_t sum = r.stats.buffer_occupancy_sum +
+      const std::uint64_t sum = s.buffer_occupancy_sum +
                                 r.buffered * (now_ - r.occupancy_since);
       occupancy += now_ ? static_cast<double>(sum) /
                               static_cast<double>(now_)

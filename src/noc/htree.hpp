@@ -12,19 +12,28 @@
 //
 // Layout (see noc/router.hpp): one flat router array, level-major
 // with the root last, one flat port array and one slot array holding
-// every port's flit ring inline. The tree owns the only clock. A
-// bitset names the routers that hold flits, and step() visits only
-// those, in two passes: every busy router decides from begin-of-cycle
-// state (arbitration or ACC, plus its parent's credit view), then the
-// winners commit root first — each router pops its begin-of-cycle
-// heads before any child pushes into it — so a hop takes exactly one
-// cycle. An arbitrating router keeps its winner current as flits
-// arrive and rescans its ports only after a pop, so a stalled router
-// repeats its decision in O(1). Nothing costs per idle router per
-// cycle: buffer occupancy is
-// integrated on change (count × cycles since the last change), and
-// credits that take more than one cycle carry their return stamp, so
-// the wait/stall/idle skips only move the clock.
+// every port's flit ring inline. The tree owns the only clock.
+//
+// Change-driven stepping. A router's decision is a pure function of
+// its heads, its closures and its parent's credit view, so the tree
+// re-decides a router only when one of those changed. step() visits
+// the busy routers that are either dirty (a push into an empty port, a
+// pop or a closure since their last decision) or whose parent can
+// accept (a credit bitset kept current on push, pop and credit
+// expiry; the root's bit is step()'s root_ready), minus kAccumulate
+// routers still waiting on a laggard child. The visit decides from
+// begin-of-cycle state (arbitration or ACC), then the winners commit
+// root first — each router pops its begin-of-cycle heads before any
+// child pushes into it — so a hop takes exactly one cycle. A decision
+// that dies on a closed parent credit window opens a stall charged
+// lazily per cycle (Router::stall_since) and settled at the router's
+// next visit, which comes as soon as an input changes; stats() folds
+// the open charges in. An arbitrating router keeps its winner current
+// as flits arrive and rescans its ports only after a pop. Nothing
+// costs per idle or stalled router per cycle: buffer occupancy is
+// integrated on change too, and credits that take more than one cycle
+// return through one clock-ordered stamp queue, so quiet() is a few
+// word tests and skip() only moves the clock.
 //
 // The root-to-PE direction is a contention-free pipelined multicast
 // (BroadcastChannel): one flit per cycle enters, and after a fixed
@@ -39,10 +48,12 @@
 // inference.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "arch/params.hpp"
 #include "common/check.hpp"
+#include "common/ring_buffer.hpp"
 #include "noc/flit.hpp"
 #include "noc/router.hpp"
 
@@ -77,17 +88,17 @@ class UpwardTree {
 
   std::size_t num_pes() const noexcept { return num_pes_; }
 
-  /// Router `r` of the flat array (leaves first, root last).
-  const Router& router(std::size_t r) const {
-    expects(r < routers_.size(), "router id out of range");
-    return routers_[r];
-  }
-
   /// Can PE `pe` inject this cycle? (credit view of its leaf port, which
   /// is port `pe` of the flat port array)
   bool can_inject(std::size_t pe) const {
     expects(pe < num_pes_, "PE id out of range");
-    return can_accept(pe);
+    return test_bit(inject_credit_, pe);
+  }
+  /// Every PE's can_inject as a bitset (bit i of word i / 64), kept
+  /// current on push, pop and credit expiry. Injecting into PE i
+  /// changes only bit i.
+  std::span<const std::uint64_t> injectable() const noexcept {
+    return inject_credit_;
   }
   /// Injects a flit from PE `pe`. Precondition: can_inject(pe).
   void inject(std::size_t pe, const Flit& flit) {
@@ -106,58 +117,34 @@ class UpwardTree {
   /// True when no flit is buffered anywhere in the tree. O(1).
   bool idle() const noexcept { return buffered_total_ == 0; }
 
-  /// True when the last step() moved at least one flit (any router
-  /// granted an output). Cheap gate for the event core's stall window:
-  /// a tree that just moved something is almost never static.
-  bool last_step_transferred() const noexcept {
-    return last_step_transferred_;
-  }
+  /// True when step(root_ready) would change nothing but the clock and
+  /// the lazily charged stalls, and so would every step after it until
+  /// the caller injects or closes an injector: credits are quiet, no
+  /// closure is pending, and step() would visit no router (none dirty,
+  /// and every busy router either waits on a laggard child or has a
+  /// closed parent credit window). One word test per 64 routers.
+  bool quiet(bool root_ready) const;
 
-  /// True when the last step() was a pure wait cycle: no router made an
-  /// output decision (not even one cancelled by a closed parent credit
-  /// window — a cancelled ACC still charges acc_operations and a
-  /// credit stall) and no closure flag was newly propagated. Because
-  /// router decisions are pure functions of buffer/closure/credit
-  /// state, a quiet step with frozen inputs proves every following
-  /// cycle is quiet too until an injection or credit expiry changes the
-  /// state — the event core's wait-skip window rests on this.
-  bool last_step_quiet() const noexcept { return last_step_quiet_; }
-
-  /// True when no credit anywhere in the tree is still travelling back
-  /// to a child (trivially true for the buffered latency-1 default).
-  /// O(1): stamps are issued in clock order, so the newest one bounds
-  /// them all.
-  bool credits_quiet() const noexcept { return last_credit_at_ <= now_; }
-
-  /// Advances `k` pure wait cycles verified by last_step_quiet() plus
-  /// frozen inputs (no injections, quiet credits): bit-identical to k
-  /// step(·) calls in that state — only the clock moves (occupancy is
-  /// integrated lazily).
-  void skip_waiting(std::uint64_t k) noexcept { now_ += k; }
-
-  /// Advances `k` cycles on a fully-drained tree — bit-identical to k
-  /// step(·) calls while idle(). Requires idle().
-  void skip_idle(std::uint64_t k) {
-    expects(buffered_total_ == 0, "skip_idle on a non-idle tree");
-    now_ += k;
-  }
-
-  /// True when stepping with root_ready == false provably changes
-  /// nothing: arbitrate mode, quiet credits everywhere, and every
-  /// router holding flits has a closed parent credit window — so each
-  /// cycle repeats the same stalled decisions. (The caller guarantees
-  /// root_ready stays false for the window it skips.)
-  bool stalled_static() const;
-
-  /// Advances `k` cycles of the stalled pattern stalled_static()
-  /// verified — bit-identical to k step(false) calls in that state
-  /// (stall/conflict counters advance per cycle for every busy router).
-  void skip_stalled(std::uint64_t k);
+  /// Advances `k` cycles, bit-identical to k step(root_ready) calls
+  /// that inject nothing: only the clock moves (occupancy and stalls
+  /// are charged lazily, credit stamps expire). Requires idle() or
+  /// quiet(root_ready); an idle tree's caller guarantees that no
+  /// injector waits on a returning credit.
+  void skip(std::uint64_t k, bool root_ready);
 
   /// Empties every router, reopens all injectors, zeroes the statistics
   /// and rewinds the clock — bit-identical to constructing a fresh
   /// tree, without the allocations.
   void reset();
+
+  /// Router `r` of the flat array (leaves first, root last), its open
+  /// stall charged up to now.
+  Router router(std::size_t r) const {
+    expects(r < routers_.size(), "router id out of range");
+    Router out = routers_[r];
+    out.stats = out.settled_stats(now_);
+    return out;
+  }
 
   NocStats stats() const;
 
@@ -169,22 +156,50 @@ class UpwardTree {
     std::uint32_t router;
     std::uint32_t port;
   };
+  /// A credit on its way back to the child feeding `port`; it arrives
+  /// when the clock reaches `at`.
+  struct CreditStamp {
+    std::uint64_t at;
+    std::size_t port;
+  };
 
-  /// Credit view of flat port `port`: a free slot, counting credits
-  /// still travelling back to the child as occupied. Latency-1 credits
-  /// are never stamped (a stamp now+1 could never exceed the clock by
-  /// the next decision), so the buffered default reads one count.
-  bool can_accept(std::size_t port) const {
-    const RouterPort& p = ports_[port];
-    std::size_t in_flight = 0;
-    if (credit_latency_ > 1) {
-      std::size_t slot = p.credit_head;
-      for (std::size_t k = 0; k < p.credit_count; ++k) {
-        if (credits_[port * depth_ + slot] > now_) ++in_flight;
-        if (++slot == depth_) slot = 0;
-      }
+  /// True when no credit anywhere in the tree is still travelling back
+  /// to a child (always true for the buffered latency-1 default).
+  bool credits_quiet() const noexcept { return credit_stamps_.empty(); }
+
+  static bool test_bit(std::span<const std::uint64_t> bits,
+                       std::size_t i) noexcept {
+    return (bits[i >> 6] >> (i & 63)) & 1;
+  }
+  static void set_bit(std::vector<std::uint64_t>& bits,
+                      std::size_t i) noexcept {
+    bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  static void clear_bit(std::vector<std::uint64_t>& bits,
+                        std::size_t i) noexcept {
+    bits[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
+  static void assign_bit(std::vector<std::uint64_t>& bits, std::size_t i,
+                         bool on) noexcept {
+    if (on) {
+      set_bit(bits, i);
+    } else {
+      clear_bit(bits, i);
     }
-    return p.count + in_flight < depth_;
+  }
+
+  /// Re-reads flat port `port`'s credit view into its bit: a free slot,
+  /// counting credits still travelling back to the child as occupied.
+  /// Leaf port p is PE p's injector; port r + num_pes_ is router r's
+  /// parent port.
+  void note_credit(std::size_t port) noexcept {
+    const RouterPort& p = ports_[port];
+    const bool room = p.count + p.in_flight < depth_;
+    if (port < num_pes_) {
+      assign_bit(inject_credit_, port, room);
+    } else {
+      assign_bit(up_credit_, port - num_pes_, room);
+    }
   }
 
   const Flit& head(std::size_t port) const {
@@ -203,34 +218,40 @@ class UpwardTree {
     ensures(p.count < depth_,
             "router buffer overflow (credit protocol violated)");
     Router& router = routers_[r];
-    if (p.count == 0 && !router.rescan) {
-      // A new head: it wins if it beats the current winner's.
-      const auto local = static_cast<std::uint32_t>(port - r * radix_);
-      if (router.candidates == 0 ||
-          flit.index < head(r * radix_ + router.winner).index)
-        router.winner = local;
-      ++router.candidates;
+    if (p.count == 0) {
+      // A new head changes the router's decision.
+      set_bit(dirty_, r);
+      if (!router.rescan) {
+        // It wins if it beats the current winner's.
+        const auto local = static_cast<std::uint32_t>(port - r * radix_);
+        if (router.candidates == 0 ||
+            flit.index < head(r * radix_ + router.winner).index)
+          router.winner = local;
+        ++router.candidates;
+      }
     }
     std::size_t slot = p.head + p.count;
     if (slot >= depth_) slot -= depth_;
     slots_[port * depth_ + slot] = flit;
     ++p.count;
+    note_credit(port);
     note_occupancy(router);
     ++router.buffered;
     ++buffered_total_;
-    busy_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    set_bit(busy_, r);
   }
 
   void pop(std::uint32_t r, std::size_t port);
-  /// Decisions of busy router `r` from begin-of-cycle state; a decision
-  /// becomes a grant when `parent_ready`, else a credit stall.
-  void arbitrate(std::uint32_t r, bool parent_ready);
+  /// Decides for busy router `r` from begin-of-cycle state, settling
+  /// its open stall first.
+  void decide(std::uint32_t r);
   /// Returns false when the ACC waits (an open port has no head yet).
-  bool accumulate(std::uint32_t r, bool parent_ready);
-  void grant_or_stall(std::uint32_t r, const Flit& flit,
-                      std::uint32_t port, bool parent_ready);
+  bool accumulate(std::uint32_t r, Flit& combined,
+                  std::uint32_t& acc_ops) const;
   void close_port(std::uint32_t r, std::size_t port);
-  bool propagate_closures();
+  void propagate_closures();
+  /// Returns the credits whose stamps the clock has reached.
+  void expire_credits();
 
   std::size_t num_pes_;
   std::size_t radix_;
@@ -243,26 +264,24 @@ class UpwardTree {
   std::vector<Router> routers_;    ///< level-major, root last
   std::vector<RouterPort> ports_;  ///< radix_ per router, in router order
   std::vector<Flit> slots_;        ///< depth_ per port, in port order
-  /// Credit-return stamps, same shape as slots_; empty for 1-cycle
-  /// credits (never tracked, see can_accept).
-  std::vector<std::uint64_t> credits_;
-  std::vector<std::uint64_t> busy_;     ///< bitset: routers holding flits
-  /// Bitset: all-closed routers whose parent port is still open — the
-  /// only candidates for kAccumulate closure propagation.
+  /// Credits taking more than one cycle, in clock order (every stamp
+  /// takes credit_latency_); 1-cycle credits are never stamped.
+  RingBuffer<CreditStamp> credit_stamps_;
+  // Router bitsets, bit r of word r / 64.
+  std::vector<std::uint64_t> busy_;   ///< holds flits
+  std::vector<std::uint64_t> dirty_;  ///< an input changed since deciding
+  /// kAccumulate: last decision was to wait on a laggard child.
+  std::vector<std::uint64_t> waiting_;
+  /// Parent input port has room (root: this step's root_ready).
+  std::vector<std::uint64_t> up_credit_;
+  /// kAccumulate: all-closed routers whose parent port is still open —
+  /// the only candidates for closure propagation.
   std::vector<std::uint64_t> closing_;
+  std::vector<std::uint64_t> inject_credit_;  ///< per PE: leaf port room
   std::vector<Grant> grants_;  ///< this step's forwards, ascending router
 
   std::uint64_t now_ = 0;            ///< cycles stepped since reset
-  std::uint64_t last_credit_at_ = 0;  ///< newest credit-return stamp
   std::size_t buffered_total_ = 0;   ///< flits sitting in any router
-  /// Whether the previous step() granted any output anywhere. Starts
-  /// (and resets) true so the first cycle of a phase always runs the
-  /// full per-cycle path.
-  bool last_step_transferred_ = true;
-  /// Whether the previous step() was a pure wait cycle (no decisions,
-  /// no closure change). Starts (and resets) false — conservative: the
-  /// first cycle after any reset must execute for real.
-  bool last_step_quiet_ = false;
 };
 
 /// Root-to-PEs pipelined multicast with fixed per-level latency.

@@ -22,12 +22,12 @@
 // (noc/htree.hpp) keeps every router of the tree in one flat array,
 // leaves first and the root last, and every input port in a second
 // flat array beside it (port p of router r is port r·radix + p, so PE
-// i's leaf port is port i). Each port is a fixed-capacity ring whose
-// flit slots sit inline in the tree's slot array, sized once at
-// construction; a ring of credit-return stamps of the same shape exists
-// only when credits take more than one cycle. No record owns heap
-// storage or a clock — the tree's single clock times every router, and
-// the tree steps only the routers that hold flits.
+// i's leaf port is port i, and non-root router r feeds port
+// r + num_pes). Each port is a fixed-capacity ring whose flit slots
+// sit inline in the tree's slot array, sized once at construction. No
+// record owns heap storage or a clock — the tree's single clock times
+// every router, and the tree steps only the routers whose decision can
+// differ from the one they already made.
 
 #include <cstdint>
 
@@ -51,16 +51,17 @@ struct RouterStats {
 /// tree's slot array) plus the credits still travelling back to the
 /// child that feeds it.
 struct RouterPort {
-  std::uint32_t head = 0;          ///< ring slot of the front flit
-  std::uint32_t count = 0;         ///< flits buffered
-  std::uint32_t credit_head = 0;   ///< ring slot of the oldest stamp
-  std::uint32_t credit_count = 0;  ///< stamps held (expired ones too)
+  std::uint32_t head = 0;       ///< ring slot of the front flit
+  std::uint32_t count = 0;      ///< flits buffered
+  std::uint32_t in_flight = 0;  ///< credits not yet back at the child
   bool closed = false;  ///< the child will send nothing more this phase
 };
 
 /// One H-tree routing node: where its output goes, how full it is, and
 /// its statistics.
 struct Router {
+  static constexpr std::uint64_t kNoStall = UINT64_MAX;
+
   std::uint32_t parent = 0;   ///< router fed by this one (root: itself)
   std::uint32_t up_port = 0;  ///< flat index of that parent input port
   std::uint32_t buffered = 0;    ///< flits in all input ports
@@ -76,10 +77,31 @@ struct Router {
   std::uint32_t winner = 0;
   std::uint32_t candidates = 0;
   bool rescan = false;
+  /// The open credit stall, charged lazily like occupancy: a router
+  /// whose decision died on a closed parent credit window makes the
+  /// same decision every cycle until one of its inputs changes, so it
+  /// records the tree clock the stall began and its per-cycle charge
+  /// (one credit stall plus these conflicts and ACC additions), and the
+  /// tree settles the charge when it next decides for the router.
+  std::uint64_t stall_since = kNoStall;
+  std::uint32_t stall_conflicts = 0;
+  std::uint32_t stall_acc_ops = 0;
   RouterStats stats;
 
   /// True when every input port has been closed (phase drained).
   bool all_closed() const noexcept { return open_ports == 0; }
+
+  /// `stats` with the open stall's charge up to tree clock `now`.
+  RouterStats settled_stats(std::uint64_t now) const noexcept {
+    RouterStats s = stats;
+    if (stall_since != kNoStall) {
+      const std::uint64_t cycles = now - stall_since;
+      s.credit_stalls += cycles;
+      s.arbitration_conflicts += cycles * stall_conflicts;
+      s.acc_operations += cycles * stall_acc_ops;
+    }
+    return s;
+  }
 };
 
 }  // namespace sparsenn

@@ -22,7 +22,8 @@
 // fixed point and must match nn::QuantizedNetwork bit-for-bit. Only
 // the per-cycle oracle runs PEs: the event-stepped engine derives the
 // same counters in closed form from the functional pass's per-PE
-// counts and never touches one (sim/accelerator.cpp).
+// counts and never touches one (LayerPass::pe_events,
+// sim/compiled_network.hpp).
 //
 // A PeLayerSlice is a bundle of read-only views into storage owned by
 // whoever compiled the network (sim::CompiledNetwork, or an

@@ -124,36 +124,7 @@ void AcceleratorSim::run_layer_into(const CompiledNetwork& compiled,
                                 pass_.pe_nnz, pass_.pe_active, result);
     result.active_rows = pass_.active_rows;
 
-    // Every PE counter the oracle's datapath charges, in closed form
-    // over n nonzero inputs, m rows, a active rows, p PEs and
-    // S = Σ_i max(1, a_i) over the per-PE active rows a_i:
-    //   V  — each PE MACs its nonzeros × rank, reading each nonzero's
-    //        register once, and injects rank partials; every PE
-    //        receives the rank results through its queue;
-    //   U  — every row takes rank MACs and writes its predictor bit;
-    //   W  — the LNZD reads every bit and scans every nonzero, whose
-    //        register is read once more to inject it; every PE pushes
-    //        and pops every delivered activation, MACs it with its
-    //        active rows and is busy max(1, a_i) cycles doing so;
-    //   write-back — one register write per row.
-    const std::uint64_t n = pass_.nz_idx.size();
-    const std::uint64_t m = layer.w.rows;
-    const std::uint64_t a = pass_.active_rows;
-    const std::uint64_t p = params_.num_pes;
-    std::uint64_t busy = 0;
-    for (const std::size_t a_i : pass_.pe_active)
-      busy += std::max<std::size_t>(1, a_i);
-    EventCounts& e = result.events;
-    e.v_mem_reads = n * rank;
-    e.u_mem_reads = m * rank;
-    e.w_mem_reads = n * a;
-    e.macs = e.v_mem_reads + e.u_mem_reads + e.w_mem_reads;
-    e.act_reg_reads = (rank > 0 ? n : 0) + n;
-    e.act_reg_writes = m;
-    e.queue_ops = p * rank + 2 * n * p;
-    e.predictor_bits = (predict ? m : 0) + m;
-    e.lnzd_scans = (predict ? n : 0) + n;
-    e.pe_active_cycles = (n + p + m) * rank + n * busy;
+    result.events = pass_.pe_events(predict, rank);
   } else {
     for (auto& pe : pes_) {
       pe.reset_events();

@@ -25,7 +25,8 @@
 //
 //   kEvent    — the event core (sim/event_core.hpp) simulates the NoC
 //     from the census, and the PE event counters follow from the same
-//     counts in closed form; no PE is touched. Functional pass +
+//     counts in closed form (LayerPass::pe_events, which the analytic
+//     engine uses too); no PE is touched. Functional pass +
 //     simulated NoC;
 //   kPerCycle — the oracle steps every PE and router every cycle and
 //     runs the real distributed datapath (V MACs, tree reduction, U

@@ -68,9 +68,8 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
   // the slowest-PE terms below.
   pass_.run(compiled, l, act, result.activations);
   const std::size_t nnz_in = pass_.nz_idx.size();
-  const std::size_t active_rows = pass_.active_rows;
   result.nnz_inputs = nnz_in;
-  result.active_rows = active_rows;
+  result.active_rows = pass_.active_rows;
   const std::size_t max_local_nnz =
       *std::max_element(pass_.pe_nnz.begin(), pass_.pe_nnz.end());
   const std::size_t max_active =
@@ -119,24 +118,14 @@ void AnalyticEngine::run_layer_into(const CompiledNetwork& compiled,
       u64(nnz_in) * u64(params_.router_levels)  // one router per level up
       + u64(nnz_in) * routers;                  // downward multicast
 
-  // --- Event estimates: datapath counts follow exactly from the
-  // functional work; register/queue counts use the broadcast fan-out.
+  // --- Events: the PE counters are the exact closed form the
+  // event-stepped cycle engine uses too; only the router and cycle
+  // counters come from the estimates above.
   EventCounts& e = result.events;
-  e = EventCounts{};
-  e.w_mem_reads = u64(nnz_in) * u64(active_rows);
-  e.v_mem_reads = u64(nnz_in) * rank;
-  e.u_mem_reads = u64(m) * rank;
-  e.macs = e.w_mem_reads + e.v_mem_reads + e.u_mem_reads;
-  e.mem_writes = active_rows;
-  e.act_reg_reads = nnz_in * (predict ? 2 : 1);  // V scan + W scan
-  e.act_reg_writes = u64(active_rows) + u64(rank) * num_pes;
-  e.queue_ops = 2 * u64(nnz_in) * num_pes;  // push+pop at every PE
-  e.predictor_bits = u64(m) + u64(active_rows);
-  e.lnzd_scans = u64(nnz_in) + u64(active_rows);
+  e = pass_.pe_events(predict, rank);
   e.router_flits = result.v_noc.flit_hops + result.w_noc.flit_hops;
   e.router_acc_ops = result.v_noc.acc_operations;
   e.cycles = result.total_cycles;
-  e.pe_active_cycles = e.macs;
 
   if (trace_) record_layer_trace(*trace_, l, result);
 }

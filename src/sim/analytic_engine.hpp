@@ -7,9 +7,11 @@
 // hardware is verified against — the same integer MAC/rescale/mask
 // arithmetic, so activations, predictor masks, nnz/active-row counts
 // and therefore predicted labels are bit-identical to the cycle
-// backend (tests/engine_equivalence_test pins this). Cycles, event
-// counts and NoC statistics are then *derived* from the per-layer
-// schedule math of Section V (the same reasoning as
+// backend (tests/engine_equivalence_test pins this). So are the PE
+// event counters: none depends on timing, and both engines take them
+// from one closed form over the census (LayerPass::pe_events).
+// Cycles, router counters and NoC statistics are then *derived* from
+// the per-layer schedule math of Section V (the same reasoning as
 // sim/schedule.hpp's estimators, but fed with the exact per-PE work
 // distribution of this input — the census of the LayerPass it shares
 // with the event-stepped cycle engine — instead of balanced averages):
@@ -24,7 +26,7 @@
 //     delivered activation per cycle) and the slowest PE's consume
 //     work (delivered activations × its predicted-active rows).
 //
-// The estimates track the simulator's magnitude but are not
+// These estimates track the simulator's magnitude but are not
 // bit-identical to it — they skip arbitration conflicts and credit
 // stalls. Callers that need exact cycle truth use the cycle backend;
 // callers that need throughput (model-zoo serving, accuracy sweeps,

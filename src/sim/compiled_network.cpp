@@ -133,4 +133,38 @@ void LayerPass::run(const CompiledNetwork& compiled, std::size_t l,
   }
 }
 
+EventCounts LayerPass::pe_events(bool predict, std::size_t rank) const {
+  // Over n nonzero inputs, m rows, a active rows, p PEs and
+  // S = Σ_i max(1, a_i) over the per-PE active rows a_i:
+  //   V  — each PE MACs its nonzeros × rank, reading each nonzero's
+  //        register once, and injects rank partials; every PE receives
+  //        the rank results through its queue;
+  //   U  — every row takes rank MACs and writes its predictor bit;
+  //   W  — the LNZD reads every bit and scans every nonzero, whose
+  //        register is read once more to inject it; every PE pushes
+  //        and pops every delivered activation, MACs it with its
+  //        active rows and is busy max(1, a_i) cycles doing so;
+  //   write-back — one register write per row.
+  const std::uint64_t n = nz_idx.size();
+  const std::uint64_t m = mask.size();
+  const std::uint64_t a = active_rows;
+  const std::uint64_t p = pe_active.size();
+  const std::uint64_t k = rank;
+  std::uint64_t busy = 0;
+  for (const std::size_t a_i : pe_active)
+    busy += std::max<std::size_t>(1, a_i);
+  EventCounts e;
+  e.v_mem_reads = n * k;
+  e.u_mem_reads = m * k;
+  e.w_mem_reads = n * a;
+  e.macs = e.v_mem_reads + e.u_mem_reads + e.w_mem_reads;
+  e.act_reg_reads = (k > 0 ? n : 0) + n;
+  e.act_reg_writes = m;
+  e.queue_ops = p * k + 2 * n * p;
+  e.predictor_bits = (predict ? m : 0) + m;
+  e.lnzd_scans = (predict ? n : 0) + n;
+  e.pe_active_cycles = (n + p + m) * k + n * busy;
+  return e;
+}
+
 }  // namespace sparsenn

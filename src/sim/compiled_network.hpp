@@ -33,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "arch/energy.hpp"
 #include "arch/params.hpp"
 #include "nn/quantized.hpp"
 #include "pe/pe.hpp"
@@ -148,6 +149,13 @@ struct LayerPass {
   void run(const CompiledNetwork& compiled, std::size_t l,
            std::span<const std::int16_t> act,
            std::vector<std::int16_t>& activations);
+
+  /// Every PE event counter the per-cycle oracle's datapath charges for
+  /// this layer, in closed form over the census. None depends on NoC
+  /// timing; the router and cycle counters are left 0 for the engine.
+  /// `predict` says the layer ran its UV predictor, of rank `rank` (0
+  /// when it did not).
+  EventCounts pe_events(bool predict, std::size_t rank) const;
 };
 
 }  // namespace sparsenn

@@ -1,11 +1,23 @@
 #include "sim/event_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "common/check.hpp"
 
 namespace sparsenn {
+namespace {
+
+/// True when two equally long bitsets share a set bit.
+bool any_common(std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b) {
+  for (std::size_t w = 0; w < a.size(); ++w)
+    if ((a[w] & b[w]) != 0) return true;
+  return false;
+}
+
+}  // namespace
 
 EventCore::EventCore(const ArchParams& params) : params_(params) {
   // Every per-PE and per-cost-group vector at its bound up front: an
@@ -13,9 +25,11 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
   // reallocate mid-inference (the arena path's zero-allocation
   // contract).
   const std::size_t n = params.num_pes;
+  const std::size_t words = (n + 63) / 64;
   wake_.reserve(n);
+  wake_order_.reserve(n);
   v_sent_.reserve(n);
-  pending_.reserve(n);
+  live_.reserve(words);
   inj_next_.reserve(n);
   inj_end_.reserve(n);
   cost_.reserve(n);
@@ -23,7 +37,7 @@ EventCore::EventCore(const ArchParams& params) : params_(params) {
   sched_t_.reserve(n);
   scheduled_.reserve(n);
   idle_.reserve(n);
-  pending_inj_.reserve(n);
+  inj_pending_.reserve(words);
 }
 
 void EventCore::reserve(std::size_t max_width) { inj_idx_.reserve(max_width); }
@@ -41,80 +55,68 @@ std::uint64_t EventCore::run_v_phase(UpwardTree& tree,
 
   // Each PE's wake time is its local-MAC burst, one MAC per cycle over
   // its nonzero inputs × rank — in the reference it computes (and does
-  // nothing else) for exactly that many cycles.
+  // nothing else) for exactly that many cycles. PEs wake in wake order.
   wake_.resize(num_pes);
-  for (std::size_t i = 0; i < num_pes; ++i) wake_[i] = pe_nnz[i] * rank;
+  wake_order_.clear();
+  for (std::size_t i = 0; i < num_pes; ++i) {
+    wake_[i] = pe_nnz[i] * rank;
+    wake_order_.push_back(static_cast<std::uint32_t>(i));
+  }
+  std::sort(wake_order_.begin(), wake_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return wake_[a] < wake_[b];
+            });
   v_sent_.assign(num_pes, 0);
+  live_.assign((num_pes + 63) / 64, 0);
+  std::size_t woken = 0;
 
   std::uint64_t cycles = 0;
   std::uint64_t executed = 0;
   std::size_t results_delivered = 0;
-  pending_.clear();
-  for (std::size_t i = 0; i < num_pes; ++i)
-    pending_.push_back(static_cast<std::uint32_t>(i));
-
-  // Until the earliest wake time nothing injects and the NoC is empty:
-  // jump there. (The reference's cycles 1..min_wake only run compute.)
-  if (rank > 0) {
-    std::uint64_t min_wake = UINT64_MAX;
-    for (const std::uint64_t w : wake_) min_wake = std::min(min_wake, w);
-    if (min_wake > 0) {
-      tree.skip_idle(min_wake);
-      broadcast.skip(min_wake);
-      cycles = min_wake;
-      ensures(cycles < kCycleLimit, "V-phase deadlock");
-    }
-  }
 
   while (results_delivered < rank) {
-    // Wait-skip: nothing in the broadcast pipe, the tree's last step
-    // was provably quiet, every awake injector is credit-blocked and
-    // at least one PE has not woken yet — every cycle until the next
-    // wake only ticks clocks and occupancy. The quiet proof needs the
-    // credit view frozen too (trivially true for latency-1 credits).
-    if (!pending_.empty() && broadcast.idle() && tree.last_step_quiet() &&
-        tree.credits_quiet()) {
-      std::uint64_t next_wake = UINT64_MAX;
-      bool awake_blocked = true;
-      for (const std::uint32_t i : pending_) {
-        if (wake_[i] > cycles) {
-          next_wake = std::min<std::uint64_t>(next_wake, wake_[i]);
-        } else if (tree.can_inject(i)) {
-          awake_blocked = false;
-          break;
-        }
-      }
-      if (awake_blocked && next_wake != UINT64_MAX) {
-        const std::uint64_t k = next_wake - cycles;
-        tree.skip_waiting(k);
-        broadcast.skip(k);
-        cycles += k;
-      }
+    // Every PE whose burst ended by now joins the live injectors.
+    for (; woken < num_pes && wake_[wake_order_[woken]] <= cycles; ++woken) {
+      const std::uint32_t i = wake_order_[woken];
+      live_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+
+    // Wait-skip: some PE is still computing, nothing is in the
+    // broadcast pipe, no live injector has credit and the tree is
+    // quiet — every cycle until the next wake only ticks clocks, stall
+    // charges and occupancy. This also opens the phase with one jump
+    // to the earliest wake.
+    const std::span<const std::uint64_t> credit = tree.injectable();
+    if (woken < num_pes && broadcast.idle() && !any_common(live_, credit) &&
+        tree.quiet(true)) {
+      const std::uint64_t k = wake_[wake_order_[woken]] - cycles;
+      tree.skip(k, true);
+      broadcast.skip(k);
+      cycles += k;
+      ensures(cycles < kCycleLimit, "V-phase deadlock");
+      continue;
     }
 
     ensures(++cycles < kCycleLimit, "V-phase deadlock");
     ++executed;
 
-    // Injection pass over the wake-list, ascending PE order (arbitrary
-    // but shared with the reference: injections consume leaf credits
-    // that later PEs observe the same cycle). Closed injectors leave
-    // the list.
-    std::size_t kept = 0;
-    for (std::size_t p = 0; p < pending_.size(); ++p) {
-      const std::uint32_t i = pending_[p];
-      bool closed = false;
-      if (wake_[i] < cycles && tree.can_inject(i)) {
+    // Injection pass over the live injectors with credit, ascending PE
+    // order (arbitrary but shared with the reference; injecting into
+    // PE i changes only PE i's credit). Closed injectors leave.
+    for (std::size_t w = 0; w < live_.size(); ++w) {
+      for (std::uint64_t bits = live_[w] & credit[w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t i =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
         tree.inject(i, Flit{.index = v_sent_[i],
                             .payload = 0,
                             .source = static_cast<std::uint16_t>(i)});
         if (++v_sent_[i] == rank) {
           tree.close_injector(i);
-          closed = true;
+          live_[w] &= ~(std::uint64_t{1} << (i & 63));
         }
       }
-      if (!closed) pending_[kept++] = i;
     }
-    pending_.resize(kept);
 
     // The root multicasts each reduced row; V results always find
     // room (dedicated registers).
@@ -155,21 +157,24 @@ std::uint64_t EventCore::run_w_phase(UpwardTree& tree,
   // Bucket the nonzero inputs per PE (input c sits on PE c mod P), each
   // bucket ascending — the order a PE's LNZD injects them in. Filled
   // back to front, so every cursor ends at its bucket's start.
-  pending_inj_.clear();
+  inj_pending_.assign((num_pes + 63) / 64, 0);
+  std::size_t injectors = 0;
   inj_next_.resize(num_pes);
   inj_end_.resize(num_pes);
   std::size_t end = 0;
   for (std::size_t i = 0; i < num_pes; ++i) {
     end += pe_nnz[i];
     inj_next_[i] = inj_end_[i] = end;
-    if (pe_nnz[i] != 0) pending_inj_.push_back(static_cast<std::uint32_t>(i));
+    if (pe_nnz[i] != 0) {
+      inj_pending_[i >> 6] |= std::uint64_t{1} << (i & 63);
+      ++injectors;
+    }
   }
   inj_idx_.resize(nz_idx.size());
   const std::size_t pe_mask = num_pes - 1;
   const bool pow2 = (num_pes & pe_mask) == 0;
   for (auto c = nz_idx.rbegin(); c != nz_idx.rend(); ++c)
     inj_idx_[--inj_next_[pow2 ? *c & pe_mask : *c % num_pes]] = *c;
-  bool all_injected = pending_inj_.empty();
 
   // Collapse PEs into cost groups. Every PE sees the same delivery
   // stream and pops at its fixed cost — max(1, active rows) cycles per
@@ -204,89 +209,83 @@ std::uint64_t EventCore::run_w_phase(UpwardTree& tree,
   // Same termination predicate as the reference, read off the model:
   // queues empty everywhere <=> the laggard group has popped
   // everything; datapaths free <=> past the busy horizon.
-  while (!(all_injected && pops_[0] == delivered_ &&
+  while (!(injectors == 0 && pops_[0] == delivered_ &&
            cycles >= max_busy_until_ && tree.idle() && broadcast.idle())) {
     // Drain jump: every flit is injected and the NoC is empty, so the
     // rest of the phase is each PE independently grinding down its
     // queue at its fixed per-pop cost — closed form.
-    if (all_injected && tree.idle() && broadcast.idle()) {
+    if (injectors == 0 && tree.idle() && broadcast.idle()) {
       std::uint64_t fin = std::max(cycles, max_busy_until_);
       for (const std::uint32_t g : scheduled_) {
         const std::uint64_t queued = delivered_ - pops_[g];
         if (queued > 0)
           fin = std::max(fin, sched_t_[g] + queued * cost_[g] - 1);
       }
-      tree.skip_idle(fin - cycles);
+      tree.skip(fin - cycles, false);
       broadcast.skip(fin - cycles);
       cycles = fin;
       ensures(cycles < kCycleLimit, "W-phase deadlock");
       break;
     }
 
-    // Stall window: nothing in the broadcast pipe, the tree holds
-    // flits but provably cannot move one, every pending injection is
-    // credit-blocked, and some queue is full (so the root stays
-    // back-pressured until its first pop). Until then each cycle only
-    // repeats the same stalled decisions while datapaths count down.
-    if (broadcast.idle() && !tree.idle() && !tree.last_step_transferred()) {
-      bool blocked = true;
-      for (const std::uint32_t i : pending_inj_) {
-        if (tree.can_inject(i)) {
-          blocked = false;
-          break;
-        }
+    // Stall window: nothing in the broadcast pipe, every pending
+    // injection is credit-blocked, some queue is full (so the root
+    // stays back-pressured until its first pop) and the tree is quiet
+    // under that closed root — every router holding flits repeats its
+    // stall. Until the first full queue pops, each cycle only charges
+    // those stalls while datapaths count down.
+    const std::span<const std::uint64_t> credit = tree.injectable();
+    if (broadcast.idle() && !any_common(inj_pending_, credit) &&
+        delivered_ - pops_[0] == queue_depth) {
+      std::uint64_t burst = UINT64_MAX;
+      for (const std::uint32_t g : scheduled_) {
+        if (delivered_ - pops_[g] == queue_depth)
+          burst = std::min(burst, sched_t_[g] - cycles);
       }
-      if (blocked && delivered_ - pops_[0] == queue_depth) {
-        std::uint64_t burst = UINT64_MAX;
-        for (const std::uint32_t g : scheduled_) {
-          if (delivered_ - pops_[g] == queue_depth)
-            burst = std::min(burst, sched_t_[g] - cycles);
-        }
-        if (burst > 1 && tree.stalled_static()) {
-          // Advance the model through the window: pops fire at their
-          // scheduled times (no deliveries arrive — the pipe is empty
-          // and the root is stalled).
-          const std::uint64_t end = cycles + burst;
-          std::size_t kept = 0;
-          for (std::size_t s = 0; s < scheduled_.size(); ++s) {
-            const std::uint32_t g = scheduled_[s];
-            while (sched_t_[g] <= end && pops_[g] < delivered_)
-              do_pop(g, sched_t_[g]);
-            if (sched_t_[g] <= end) {
-              idle_.push_back(g);  // found its queue empty
-            } else {
-              scheduled_[kept++] = g;
-            }
+      if (burst > 1 && tree.quiet(false)) {
+        // Advance the model through the window: pops fire at their
+        // scheduled times (no deliveries arrive — the pipe is empty
+        // and the root is stalled).
+        const std::uint64_t end = cycles + burst;
+        std::size_t kept = 0;
+        for (std::size_t s = 0; s < scheduled_.size(); ++s) {
+          const std::uint32_t g = scheduled_[s];
+          while (sched_t_[g] <= end && pops_[g] < delivered_)
+            do_pop(g, sched_t_[g]);
+          if (sched_t_[g] <= end) {
+            idle_.push_back(g);  // found its queue empty
+          } else {
+            scheduled_[kept++] = g;
           }
-          scheduled_.resize(kept);
-          tree.skip_stalled(burst);
-          broadcast.skip(burst);
-          cycles += burst;
-          ensures(cycles < kCycleLimit, "W-phase deadlock");
-          continue;
         }
+        scheduled_.resize(kept);
+        tree.skip(burst, false);
+        broadcast.skip(burst);
+        cycles += burst;
+        ensures(cycles < kCycleLimit, "W-phase deadlock");
+        continue;
       }
     }
 
     ensures(++cycles < kCycleLimit, "W-phase deadlock");
     ++executed;
 
-    // Injection pass, ascending PE order.
-    if (!all_injected) {
-      std::size_t kept = 0;
-      for (std::size_t p = 0; p < pending_inj_.size(); ++p) {
-        const std::uint32_t i = pending_inj_[p];
-        if (tree.can_inject(i)) {
-          const std::uint32_t c = inj_idx_[inj_next_[i]++];
-          tree.inject(i, Flit{.index = c,
-                              .payload = act[c],
-                              .source = static_cast<std::uint16_t>(i)});
-          if (inj_next_[i] == inj_end_[i]) continue;  // drained: drop
+    // Injection pass over the pending injectors with credit, ascending
+    // PE order.
+    for (std::size_t w = 0; injectors != 0 && w < inj_pending_.size(); ++w) {
+      for (std::uint64_t bits = inj_pending_[w] & credit[w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t i =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+        const std::uint32_t c = inj_idx_[inj_next_[i]++];
+        tree.inject(i, Flit{.index = c,
+                            .payload = act[c],
+                            .source = static_cast<std::uint16_t>(i)});
+        if (inj_next_[i] == inj_end_[i]) {  // drained
+          inj_pending_[w] &= ~(std::uint64_t{1} << (i & 63));
+          --injectors;
         }
-        pending_inj_[kept++] = i;
       }
-      pending_inj_.resize(kept);
-      all_injected = pending_inj_.empty();
     }
 
     // Root credit view from end-of-previous-cycle queue state, exactly

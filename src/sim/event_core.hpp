@@ -6,8 +6,9 @@
 // from the one functional pass (LayerPass, sim/compiled_network.hpp)
 // that AcceleratorSim runs before the phases, and so do the per-PE
 // counts this core reads: nonzero inputs and active rows per PE. The
-// core simulates only NoC timing and touches no PE; AcceleratorSim
-// derives the PE event counters from the same counts in closed form.
+// core simulates only NoC timing and touches no PE; the PE event
+// counters follow from the same counts in closed form
+// (LayerPass::pe_events).
 //
 // The per-cycle reference visits every PE and router every cycle. This
 // core keeps the cycle-by-cycle NoC simulation (the trees and the
@@ -18,14 +19,15 @@
 //     inputs × rank cycles, known at phase start, and that is the PE's
 //     wake time. After it the PE injects one partial-sum flit per rank
 //     row, payload zero: the tree's timing never reads a payload, and
-//     the V result comes from the functional pass. Until the earliest
-//     wake nothing injects, so the phase opens with one jump there;
-//     after that the cycle loop only walks the wake-list of PEs whose
-//     time has come. When every awake PE is credit-blocked and the
-//     tree's last step was provably quiet (no router decision, not
-//     even a cancelled one, and no closure propagation — see
-//     UpwardTree::last_step_quiet), the loop jumps straight to the
-//     next wake time.
+//     the V result comes from the functional pass. PEs join a bitset
+//     of live injectors in wake order, and the injection pass reads
+//     only the live injectors the tree's leaf-credit bitset
+//     (UpwardTree::injectable) lets through. When some PE is still
+//     computing, the broadcast pipe is empty, no live injector has
+//     credit and the tree is quiet (UpwardTree::quiet: no router would
+//     move or change its decision — stalled routers charge their
+//     stalls lazily), the loop jumps straight to the next wake time;
+//     the phase opens with such a jump to the earliest wake.
 //
 //   W phase — each PE injects its nonzero inputs in ascending index
 //     order (the functional pass's nonzero list, bucketed per PE).
@@ -39,9 +41,9 @@
 //     the max-cost group's — an O(1) read, no histogram. Two windows
 //     advance in one shot: the drain tail (all flits injected, NoC
 //     empty — each group grinds down its queue in closed form) and a
-//     fully-stalled NoC (every injector credit-blocked, a full queue
-//     back-pressuring the root, UpwardTree::stalled_static) until the
-//     first full queue pops.
+//     stalled NoC (nothing in the broadcast pipe, no pending injector
+//     with credit, a full queue back-pressuring the root, and the tree
+//     quiet under that closed root) until the first full queue pops.
 //
 // Every observable — cycle counts, event tallies, NoC statistics,
 // activations — is bit-identical to the per-cycle reference
@@ -133,8 +135,9 @@ class EventCore {
 
   // ---- V phase scratch ----
   std::vector<std::uint64_t> wake_;      ///< per-PE local-burst length
+  std::vector<std::uint32_t> wake_order_;  ///< PEs by ascending wake
   std::vector<std::uint32_t> v_sent_;    ///< per-PE partials injected
-  std::vector<std::uint32_t> pending_;   ///< open injectors, ascending
+  std::vector<std::uint64_t> live_;      ///< bitset: awake open injectors
 
   // ---- W phase scratch (injection buckets, cost-group timing model) ----
   std::vector<std::uint32_t> inj_idx_;   ///< nonzero inputs, PE-bucketed
@@ -145,7 +148,7 @@ class EventCore {
   std::vector<std::uint64_t> sched_t_;   ///< per-group next datapath-free cycle
   std::vector<std::uint32_t> scheduled_; ///< groups with a pending sched_t_
   std::vector<std::uint32_t> idle_;      ///< groups waiting for a delivery
-  std::vector<std::uint32_t> pending_inj_;  ///< PEs still injecting
+  std::vector<std::uint64_t> inj_pending_;  ///< bitset: PEs still injecting
   std::uint64_t delivered_ = 0;
   std::uint64_t max_busy_until_ = 0;     ///< last cycle any datapath busy
 };

@@ -98,6 +98,23 @@ void expect_equivalent(const QuantizedNetwork& network,
         // The U phase is analytic even in the cycle engine (slowest
         // PE's rows × rank), so the backends must agree exactly.
         EXPECT_EQ(exact.layers[l].u_cycles, fast.layers[l].u_cycles);
+        // Every event counter that does not depend on NoC timing is
+        // exact in both (router_acc_ops counts cancelled ACC fires and
+        // cycles is the timing itself).
+        const EventCounts& x = exact.layers[l].events;
+        const EventCounts& f = fast.layers[l].events;
+        EXPECT_EQ(x.w_mem_reads, f.w_mem_reads) << "layer " << l;
+        EXPECT_EQ(x.u_mem_reads, f.u_mem_reads) << "layer " << l;
+        EXPECT_EQ(x.v_mem_reads, f.v_mem_reads) << "layer " << l;
+        EXPECT_EQ(x.mem_writes, f.mem_writes) << "layer " << l;
+        EXPECT_EQ(x.macs, f.macs) << "layer " << l;
+        EXPECT_EQ(x.act_reg_reads, f.act_reg_reads) << "layer " << l;
+        EXPECT_EQ(x.act_reg_writes, f.act_reg_writes) << "layer " << l;
+        EXPECT_EQ(x.queue_ops, f.queue_ops) << "layer " << l;
+        EXPECT_EQ(x.predictor_bits, f.predictor_bits) << "layer " << l;
+        EXPECT_EQ(x.lnzd_scans, f.lnzd_scans) << "layer " << l;
+        EXPECT_EQ(x.router_flits, f.router_flits) << "layer " << l;
+        EXPECT_EQ(x.pe_active_cycles, f.pe_active_cycles) << "layer " << l;
       }
       EXPECT_EQ(exact.output, fast.output) << "sample " << i;
       EXPECT_EQ(argmax_i16(exact.output), argmax_i16(fast.output));
